@@ -9,28 +9,22 @@
 //     the real system at N nodes — N periodic stream ticks at the Table I
 //     cadence plus N/4 self-perpetuating one-shot "message" chains with
 //     1–101 ms holds — but event bodies do constant work, so events/sec
-//     measures the scheduler, not the middleware. Run on both backends:
-//     the calendar queue and the pre-change binary-heap kernel
-//     (ExperimentConfig::queue_backend = kLegacyHeap, the
-//     SDSI_SIM_HEAP_QUEUE escape hatch). The chain closures mirror
-//     routing::RoutingSystem::schedule_msg: pooled (reference-carrying,
-//     inline in EventFn) on the calendar backend, message-by-value
-//     (heap-allocated closure) on the legacy backend — the same shapes the
-//     real message path produces on each.
+//     measures the scheduler, not the middleware. Run on the calendar queue
+//     (sim::Simulator) and on the binary-heap kernel it replaced
+//     (bench/reference_heap.hpp). The chain closures carry the message the
+//     way each kernel's message path does: a pooled reference (inline in
+//     EventFn, like routing::RoutingSystem::schedule_msg) on the calendar
+//     queue, the message by value (a heap-allocated closure) on the heap.
 //  2. Full-system run (PrefixRing substrate, Table I workload): end-to-end
 //     events/sec, peak RSS, and per-node load (messages/s/node — the
 //     paper's boundedness claim, carried two orders of magnitude past
 //     Section V).
 //
-// At the reference size (10000 nodes; 2000 under --smoke) both
-// measurements also run as heap-vs-calendar pairs. The release acceptance
-// bar is >= 3x on the kernel hold-model at 10000 nodes (scheduler_speedup
-// row); the full-system ratio (end_to_end_speedup row) is reported
-// alongside and is smaller by Amdahl's law — the shared middleware body
-// (DFT update, feature extraction, MBR batching, store upkeep) dominates
-// once per-event scheduling cost stops mattering. tools/scale_smoke
-// enforces floors on the smoke variant in CI. All rows land in the JSON so
-// successive PRs are measured against recorded numbers, not prose.
+// The release acceptance bar is >= 3x on the kernel hold-model at the
+// reference size (10000 nodes; 2000 under --smoke): the scheduler_speedup
+// row. tools/scale_smoke enforces floors on the smoke variant in CI. All
+// rows land in the JSON so successive PRs are measured against recorded
+// numbers, not prose.
 //
 // Flags: --smoke (truncated 2000-node sweep), --nodes LIST (comma-separated
 // override), --json PATH (BENCH_scale.json location).
@@ -38,9 +32,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/reference_heap.hpp"
 
 namespace {
 
@@ -55,12 +51,13 @@ struct FakeMsg {
 };
 
 /// N/4 self-perpetuating one-shot chains. Each hop draws its next hold from
-/// a per-chain LCG (identical on both backends, so event order matches
+/// a per-chain LCG (identical on both kernels, so event order matches
 /// bit-for-bit) and reschedules itself, carrying the message the way the
-/// real message path would on the active backend.
+/// kernel's message path does.
+template <typename Sched>
 class HoldChains {
  public:
-  HoldChains(sdsi::sim::Simulator& sim, std::size_t count)
+  HoldChains(Sched& sim, std::size_t count)
       : sim_(sim), rng_(count), msgs_(count) {
     for (std::size_t c = 0; c < count; ++c) {
       rng_[c] = 0x9e3779b97f4a7c15ull * (c + 1);
@@ -78,7 +75,7 @@ class HoldChains {
     // Holds of 1..101 ms, the ballpark of substrate hop + processing delays.
     const sdsi::sim::Duration delay = sdsi::sim::Duration::micros(
         1000 + static_cast<std::int64_t>((r >> 33) % 100000));
-    if (sim_.pooled_events()) {
+    if constexpr (std::is_same_v<Sched, sdsi::sim::Simulator>) {
       // Pooled shape: the closure carries only a reference (fits inline in
       // EventFn), like the PoolPtr-backed schedule_msg path.
       sim_.schedule_after(delay, [this, c] {
@@ -86,8 +83,8 @@ class HoldChains {
         hop(c);
       });
     } else {
-      // Pre-change shape: the message rides in the closure by value, like
-      // the copy-captured routing::Message in a heap-allocated closure.
+      // Pre-pool shape: the message rides in the closure by value, like a
+      // copy-captured routing::Message in a heap-allocated closure.
       const FakeMsg m = msgs_[c];
       sim_.schedule_after(delay, [this, c, m] {
         consume(m);
@@ -98,7 +95,7 @@ class HoldChains {
 
   void consume(const FakeMsg& m) noexcept { sink_ ^= m.words[0]; }
 
-  sdsi::sim::Simulator& sim_;
+  Sched& sim_;
   std::vector<std::uint64_t> rng_;
   std::vector<FakeMsg> msgs_;
   std::uint64_t sink_ = 0;
@@ -110,10 +107,10 @@ struct KernelRow {
   double wall_ms = 0.0;
 };
 
-KernelRow run_kernel_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
-                           sdsi::sim::Duration horizon) {
+template <typename Sched>
+KernelRow run_kernel_point(std::size_t nodes, sdsi::sim::Duration horizon) {
   using namespace sdsi;
-  sim::Simulator sim(backend);
+  Sched sim;
 
   // N periodic "stream ticks" at the Table I cadence (200 ms), phases
   // spread across the period; bodies touch one per-task counter.
@@ -125,7 +122,7 @@ KernelRow run_kernel_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
     sim.schedule_periodic(sim::SimTime::zero() + phase + period, period,
                           [&task_state, i] { task_state[i] += i | 1; });
   }
-  HoldChains chains(sim, nodes / 4);
+  HoldChains<Sched> chains(sim, nodes / 4);
 
   const auto start = std::chrono::steady_clock::now();
   sim.run_until(sim::SimTime::zero() + horizon);
@@ -156,8 +153,7 @@ struct ScaleRow {
   std::size_t peak_rss_kb = 0;
 };
 
-ScaleRow run_system_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
-                          sdsi::sim::Duration warmup,
+ScaleRow run_system_point(std::size_t nodes, sdsi::sim::Duration warmup,
                           sdsi::sim::Duration measure) {
   using namespace sdsi;
   core::ExperimentConfig config;
@@ -165,12 +161,11 @@ ScaleRow run_system_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
   config.substrate = core::SubstrateKind::kPrefixRing;
   config.warmup = warmup;
   config.measure = measure;
-  config.queue_backend = backend;
   core::Experiment experiment(config);
 
   // Bootstrap (substrate build + workload scheduling) happens outside the
   // timed window: events/sec measures the kernel executing events, not the
-  // one-time ring construction both backends share.
+  // one-time ring construction.
   experiment.prepare();
   const auto start = std::chrono::steady_clock::now();
   experiment.run();
@@ -239,19 +234,19 @@ int main(int argc, char** argv) {
 
   double reference_kernel_speedup = 0.0;
   for (const std::size_t nodes : sweep) {
-    // Scheduler-only rows: both backends execute the identical event
+    // Scheduler-only rows: both kernels execute the identical event
     // stream, so the ratio isolates per-event scheduling cost. Trials are
     // interleaved and the best of each side is kept: on a shared runner,
     // co-tenant interference only ever slows a run down, so the fastest
-    // sample is the least-contaminated measurement of either backend.
+    // sample is the least-contaminated measurement of either kernel.
     KernelRow kernel_heap;
     KernelRow kernel_cal;
     const int trials = smoke ? 2 : 5;
     for (int trial = 0; trial < trials; ++trial) {
-      const KernelRow h = run_kernel_point(
-          nodes, sim::QueueBackend::kLegacyHeap, kernel_horizon);
-      const KernelRow c = run_kernel_point(
-          nodes, sim::QueueBackend::kCalendar, kernel_horizon);
+      const KernelRow h =
+          run_kernel_point<bench::ReferenceHeap>(nodes, kernel_horizon);
+      const KernelRow c =
+          run_kernel_point<sim::Simulator>(nodes, kernel_horizon);
       if (h.events_per_sec > kernel_heap.events_per_sec) {
         kernel_heap = h;
       }
@@ -268,7 +263,7 @@ int main(int argc, char** argv) {
     }
     // Gated speedup = best-of-trials calendar over best-of-trials heap.
     // On a shared runner co-tenant interference only ever slows a run, so
-    // each backend's fastest sample is its least-contaminated measurement;
+    // each kernel's fastest sample is its least-contaminated measurement;
     // per-pair ratios are NOT used because the two sides of a pair run for
     // very different wall times (the calendar clears the same event count
     // ~3x faster) and so do not share an interference phase.
@@ -280,8 +275,7 @@ int main(int argc, char** argv) {
       reference_kernel_speedup = kernel_speedup;
     }
 
-    const ScaleRow row = run_system_point(
-        nodes, sim::QueueBackend::kCalendar, warmup, measure);
+    const ScaleRow row = run_system_point(nodes, warmup, measure);
 
     table.begin_row().add_int(static_cast<long long>(nodes));
     table.add_num(kernel_cal.events_per_sec, 0);
@@ -311,48 +305,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  // End-to-end backend comparison at the reference size: identical
-  // configuration and event order, different scheduler internals, full
-  // middleware bodies. Heap first so the pooled run's RSS sample is not
-  // inflated by the baseline's queue.
-  std::printf("\n=== Full-system backends @ %zu nodes ===\n", reference_nodes);
-  const ScaleRow heap = run_system_point(reference_nodes,
-                                         sim::QueueBackend::kLegacyHeap,
-                                         warmup, measure);
-  const ScaleRow calendar = run_system_point(reference_nodes,
-                                             sim::QueueBackend::kCalendar,
-                                             warmup, measure);
-  const double end_to_end = heap.events_per_sec > 0.0
-                                ? calendar.events_per_sec / heap.events_per_sec
-                                : 0.0;
-  std::printf("heap:     %12.0f events/s (%.1f ms)\n", heap.events_per_sec,
-              heap.wall_ms);
-  std::printf("calendar: %12.0f events/s (%.1f ms)\n", calendar.events_per_sec,
-              calendar.wall_ms);
-  std::printf("end-to-end speedup: %.2fx (middleware body included)\n",
-              end_to_end);
-  std::printf("kernel speedup:     %.2fx (acceptance bar: >= 3x at 10000)\n",
-              reference_kernel_speedup);
-  if (heap.events != calendar.events) {
-    std::fprintf(stderr,
-                 "backend event-count mismatch: heap=%llu calendar=%llu\n",
-                 static_cast<unsigned long long>(heap.events),
-                 static_cast<unsigned long long>(calendar.events));
-    return 1;
-  }
-
-  const std::string ref_config = "nodes=" + std::to_string(reference_nodes);
-  bench::BenchResult heap_row{"system_events",
-                              ref_config + " substrate=prefix backend=heap",
-                              heap.events_per_sec, heap.wall_ms};
-  heap_row.peak_rss_kb = heap.peak_rss_kb;
-  reporter.add(heap_row);
-  reporter.add(bench::BenchResult{"scheduler_speedup",
-                                  ref_config + " kernel hold-model",
-                                  reference_kernel_speedup, 0.0});
-  reporter.add(bench::BenchResult{"end_to_end_speedup",
-                                  ref_config + " substrate=prefix", end_to_end,
-                                  heap.wall_ms + calendar.wall_ms});
+  std::printf("\nkernel speedup @ %zu nodes: %.2fx (acceptance bar: >= 3x at "
+              "10000)\n",
+              reference_nodes, reference_kernel_speedup);
+  reporter.add(bench::BenchResult{
+      "scheduler_speedup",
+      "nodes=" + std::to_string(reference_nodes) + " kernel hold-model",
+      reference_kernel_speedup, 0.0});
 
   if (!json_path.empty() && !reporter.write(json_path)) {
     return 1;

@@ -2,17 +2,6 @@
 
 namespace sdsi::baseline {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
-
 CentralizedSystem::CentralizedSystem(routing::RoutingSystem& routing,
                                      core::MiddlewareConfig config,
                                      NodeIndex center)
@@ -102,7 +91,7 @@ void CentralizedSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
   switch (msg.kind) {
     case core::MsgKind::kMbrUpdate: {
       SDSI_CHECK(at == center_);
-      const auto payload = payload_of<core::MbrPayload>(msg);
+      const auto payload = routing::payload_of<core::MbrPayload>(msg);
       store_.add_mbr(core::IndexStore::StoredMbr{
           payload->stream, payload->source, payload->mbr, payload->batch_seq,
           now, payload->expires});
@@ -110,14 +99,15 @@ void CentralizedSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
     }
     case core::MsgKind::kSimilarityQuery: {
       SDSI_CHECK(at == center_);
-      const auto payload = payload_of<core::SimilarityQueryPayload>(msg);
+      const auto payload =
+          routing::payload_of<core::SimilarityQueryPayload>(msg);
       const core::SimilarityQuery& query = *payload->query;
       store_.add_subscription(payload->query, routing_.node_id(center_),
                               query.issued_at + query.lifespan);
       return;
     }
     case core::MsgKind::kResponse: {
-      const auto payload = payload_of<core::ResponsePayload>(msg);
+      const auto payload = routing::payload_of<core::ResponsePayload>(msg);
       const auto it = client_records_.find(payload->query);
       if (it == client_records_.end()) {
         return;

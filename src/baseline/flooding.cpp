@@ -2,17 +2,6 @@
 
 namespace sdsi::baseline {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
-
 FloodingSystem::FloodingSystem(routing::RoutingSystem& routing,
                                core::MiddlewareConfig config)
     : routing_(routing),
@@ -106,14 +95,15 @@ void FloodingSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
   const sim::SimTime now = routing_.simulator().now();
   switch (msg.kind) {
     case core::MsgKind::kSimilarityQuery: {
-      const auto payload = payload_of<core::SimilarityQueryPayload>(msg);
+      const auto payload =
+          routing::payload_of<core::SimilarityQueryPayload>(msg);
       const core::SimilarityQuery& query = *payload->query;
       nodes_[at].store.add_subscription(payload->query, payload->middle_key,
                                         query.issued_at + query.lifespan);
       return;
     }
     case core::MsgKind::kResponse: {
-      const auto payload = payload_of<core::ResponsePayload>(msg);
+      const auto payload = routing::payload_of<core::ResponsePayload>(msg);
       const auto it = client_records_.find(payload->query);
       if (it == client_records_.end()) {
         return;

@@ -70,6 +70,16 @@ class IdSpace {
     return distance(a, key) <= distance(a, b);
   }
 
+  /// Whether the closed clockwise range [lo, hi] meets the half-open arc
+  /// (a, b]: the range starts inside the arc, ends inside it, or swallows
+  /// it whole (then it contains b). Used to pick the store entries a ring
+  /// arc is responsible for (handoff, mirroring, anti-entropy).
+  constexpr bool range_intersects_arc(Key lo, Key hi, Key a,
+                                      Key b) const noexcept {
+    return in_half_open(lo, a, b) || in_half_open(hi, a, b) ||
+           in_closed(b, lo, hi);
+  }
+
   /// Midpoint of the clockwise range [a, b] (used by the bidirectional range
   /// multicast of Sec VI-B: send to the middle, fan out both ways).
   constexpr Key midpoint(Key a, Key b) const noexcept {

@@ -9,17 +9,6 @@
 
 namespace sdsi::core {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
-
 MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
                                    MiddlewareConfig config)
     : routing_(routing),
@@ -744,7 +733,7 @@ void MiddlewareSystem::on_deliver(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_mbr(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<MbrPayload>(msg);
+  const auto payload = routing::payload_of<MbrPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
   if (!(config_.store_local_summaries && at == payload->source)) {
     // Load shedding: a node past its per-window ingest budget (or under a
@@ -819,12 +808,12 @@ bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
 }
 
 void MiddlewareSystem::handle_mbr_ack(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<MbrAckPayload>(msg);
+  const auto payload = routing::payload_of<MbrAckPayload>(msg);
   note_mbr_ack(at, payload->stream, payload->batch_seq);
 }
 
 void MiddlewareSystem::handle_response_ack(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<ResponseAckPayload>(msg);
+  const auto payload = routing::payload_of<ResponseAckPayload>(msg);
   MiddlewareNode& state = state_of(at);
   const auto it = state.aggregations.find(payload->query);
   if (it == state.aggregations.end()) {
@@ -835,7 +824,7 @@ void MiddlewareSystem::handle_response_ack(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_similarity_query(NodeIndex at,
                                                const Message& msg) {
-  const auto payload = payload_of<SimilarityQueryPayload>(msg);
+  const auto payload = routing::payload_of<SimilarityQueryPayload>(msg);
   const SimilarityQuery& query = *payload->query;
   MiddlewareNode& state = state_of(at);
   const bool fresh = state.store.find_subscription(query.id) == nullptr;
@@ -869,7 +858,7 @@ void MiddlewareSystem::handle_similarity_query(NodeIndex at,
 }
 
 void MiddlewareSystem::handle_inner_query(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<InnerProductQueryPayload>(msg);
+  const auto payload = routing::payload_of<InnerProductQueryPayload>(msg);
   const InnerProductQuery& query = *payload->query;
   MiddlewareNode& state = state_of(at);
   const auto it = state.streams.find(query.stream);
@@ -881,7 +870,7 @@ void MiddlewareSystem::handle_inner_query(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<ResponsePayload>(msg);
+  const auto payload = routing::payload_of<ResponsePayload>(msg);
   if (payload->client != at) {
     // The client crashed and its arc changed hands: the response routed to
     // the new owner of the client's ring id. Nothing to do but drop it.
@@ -925,14 +914,14 @@ void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_neighbor_digest(NodeIndex at,
                                               const Message& msg) {
-  const auto payload = payload_of<NeighborDigestPayload>(msg);
+  const auto payload = routing::payload_of<NeighborDigestPayload>(msg);
   for (const MatchReport& report : payload->reports) {
     file_match_report(at, report);
   }
 }
 
 void MiddlewareSystem::handle_location_put(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<LocationPutPayload>(msg);
+  const auto payload = routing::payload_of<LocationPutPayload>(msg);
   if (payload->source == kInvalidNode) {
     state_of(at).location_directory.erase(payload->stream);  // tombstone
   } else {
@@ -941,7 +930,7 @@ void MiddlewareSystem::handle_location_put(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_location_get(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<LocationGetPayload>(msg);
+  const auto payload = routing::payload_of<LocationGetPayload>(msg);
   const auto& directory = state_of(at).location_directory;
   const auto entry = directory.find(payload->stream);
   const NodeIndex source =
@@ -986,7 +975,7 @@ void MiddlewareSystem::retry_location_get(NodeIndex client, StreamId stream) {
 
 void MiddlewareSystem::handle_location_reply(NodeIndex at,
                                              const Message& msg) {
-  const auto payload = payload_of<LocationReplyPayload>(msg);
+  const auto payload = routing::payload_of<LocationReplyPayload>(msg);
   MiddlewareNode& state = state_of(at);
   auto pending = state.pending_inner_queries.find(payload->stream);
   if (payload->source == kInvalidNode) {
@@ -1251,19 +1240,6 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
 
 // --- Replication & failover ---------------------------------------------------
 
-namespace {
-
-/// Whether the closed key interval [mlo, mhi] intersects the half-open ring
-/// arc (lo, hi]: an interval endpoint falls inside the arc, or the interval
-/// swallows the arc whole (then it contains hi).
-bool range_intersects_arc(const common::IdSpace& space, Key mlo, Key mhi,
-                          Key lo, Key hi) {
-  return space.in_half_open(mlo, lo, hi) || space.in_half_open(mhi, lo, hi) ||
-         space.in_closed(hi, mlo, mhi);
-}
-
-}  // namespace
-
 std::size_t MiddlewareSystem::mbr_entry_bytes(
     const IndexStore::StoredMbr& entry) {
   // Identity + expiry header, plus two doubles per MBR dimension.
@@ -1376,7 +1352,7 @@ void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
 }
 
 void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
-  const auto payload = payload_of<ReplicaPutPayload>(msg);
+  const auto payload = routing::payload_of<ReplicaPutPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
   MiddlewareNode& state = state_of(at);
   std::size_t added = 0;
@@ -1425,7 +1401,7 @@ void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_handoff_request(NodeIndex at,
                                               const Message& msg) {
-  const auto payload = payload_of<HandoffRequestPayload>(msg);
+  const auto payload = routing::payload_of<HandoffRequestPayload>(msg);
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
@@ -1438,7 +1414,7 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
   std::size_t bytes = 0;
   for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
     const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!range_intersects_arc(space, mlo, mhi, payload->lo, payload->hi)) {
+    if (!space.range_intersects_arc(mlo, mhi, payload->lo, payload->hi)) {
       continue;
     }
     mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
@@ -1454,7 +1430,7 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
     const auto [qlo, qhi] =
         strategy_->key_map().query_range(sub.query->features,
                                          sub.query->radius);
-    if (!range_intersects_arc(space, qlo, qhi, payload->lo, payload->hi)) {
+    if (!space.range_intersects_arc(qlo, qhi, payload->lo, payload->hi)) {
       continue;
     }
     subs.push_back(
@@ -1524,7 +1500,7 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
   std::vector<MbrBatchId> mbr_keys;
   for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
     const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(space, mlo, mhi, pred_id, self_id)) {
+    if (space.range_intersects_arc(mlo, mhi, pred_id, self_id)) {
       mbr_keys.push_back(MbrBatchId{entry.stream, entry.batch_seq});
     }
   }
@@ -1536,7 +1512,7 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
     const auto [qlo, qhi] =
         strategy_->key_map().query_range(sub.query->features,
                                          sub.query->radius);
-    if (range_intersects_arc(space, qlo, qhi, pred_id, self_id)) {
+    if (space.range_intersects_arc(qlo, qhi, pred_id, self_id)) {
       query_ids.push_back(id);
     }
   }
@@ -1555,7 +1531,7 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
 
 void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
                                                   const Message& msg) {
-  const auto payload = payload_of<AntiEntropyDigestPayload>(msg);
+  const auto payload = routing::payload_of<AntiEntropyDigestPayload>(msg);
   if (!routing_.is_alive(payload->from)) {
     return;
   }
@@ -1601,7 +1577,7 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
       continue;
     }
     const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!range_intersects_arc(space, mlo, mhi, payload->lo, payload->hi)) {
+    if (!space.range_intersects_arc(mlo, mhi, payload->lo, payload->hi)) {
       continue;
     }
     push_mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
@@ -1615,7 +1591,7 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
     const auto [qlo, qhi] =
         strategy_->key_map().query_range(sub.query->features,
                                          sub.query->radius);
-    if (!range_intersects_arc(space, qlo, qhi, payload->lo, payload->hi)) {
+    if (!space.range_intersects_arc(qlo, qhi, payload->lo, payload->hi)) {
       continue;
     }
     push_subs.push_back(
@@ -1639,7 +1615,7 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
 
 void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
                                                    const Message& msg) {
-  const auto payload = payload_of<AntiEntropyRequestPayload>(msg);
+  const auto payload = routing::payload_of<AntiEntropyRequestPayload>(msg);
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
@@ -1675,7 +1651,7 @@ void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
 
 void MiddlewareSystem::handle_aggregator_replica(NodeIndex at,
                                                  const Message& msg) {
-  const auto payload = payload_of<AggregatorReplicaPayload>(msg);
+  const auto payload = routing::payload_of<AggregatorReplicaPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
   if (payload->expires <= now) {
     return;

@@ -7,17 +7,6 @@
 
 namespace sdsi::net {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr && *ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
-
 NetNode::NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
                  NetNodeConfig config)
     : ring_(ring),
@@ -286,7 +275,7 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
 }
 
 void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
-  const auto payload = payload_of<core::MbrPayload>(msg);
+  const auto payload = routing::payload_of<core::MbrPayload>(msg);
   // The source already stored this batch at publish time; every other node
   // stores it here (the payload's absolute expiry keeps redelivery
   // idempotent, same as the sim's handle_mbr).
@@ -348,7 +337,7 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
 
 void NetNode::handle_similarity_query(const routing::Message& msg,
                                       sim::SimTime now) {
-  const auto payload = payload_of<core::SimilarityQueryPayload>(msg);
+  const auto payload = routing::payload_of<core::SimilarityQueryPayload>(msg);
   const core::SimilarityQuery& query = *payload->query;
   const bool fresh = store_.find_subscription(query.id) == nullptr;
   store_.add_subscription(payload->query, payload->middle_key,
@@ -386,7 +375,7 @@ void NetNode::handle_similarity_query(const routing::Message& msg,
 }
 
 void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
-  const auto payload = payload_of<core::ResponsePayload>(msg);
+  const auto payload = routing::payload_of<core::ResponsePayload>(msg);
   const auto it = results_.find(payload->query);
   if (it == results_.end()) {
     return;  // not our query (stale route)
@@ -406,7 +395,7 @@ void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
 }
 
 void NetNode::handle_heartbeat(const routing::Message& msg) {
-  const auto payload = payload_of<core::HeartbeatPayload>(msg);
+  const auto payload = routing::payload_of<core::HeartbeatPayload>(msg);
   ++counters_.heartbeats_received;
   if (!reliable()) {
     return;
@@ -419,7 +408,7 @@ void NetNode::handle_heartbeat(const routing::Message& msg) {
 }
 
 void NetNode::handle_mbr_ack(const routing::Message& msg) {
-  const auto payload = payload_of<core::MbrAckPayload>(msg);
+  const auto payload = routing::payload_of<core::MbrAckPayload>(msg);
   ++counters_.mbr_acks_received;
   const auto it =
       published_.find(std::make_pair(payload->stream, payload->batch_seq));
@@ -429,14 +418,14 @@ void NetNode::handle_mbr_ack(const routing::Message& msg) {
 }
 
 void NetNode::handle_response_ack(const routing::Message& msg) {
-  const auto payload = payload_of<core::ResponseAckPayload>(msg);
+  const auto payload = routing::payload_of<core::ResponseAckPayload>(msg);
   ++counters_.response_acks_received;
   unacked_responses_.erase(std::make_pair(payload->query, payload->push_seq));
 }
 
 void NetNode::handle_replica_put(const routing::Message& msg,
                                  sim::SimTime now) {
-  const auto payload = payload_of<core::ReplicaPutPayload>(msg);
+  const auto payload = routing::payload_of<core::ReplicaPutPayload>(msg);
   for (const core::ReplicaMbrEntry& entry : payload->mbrs) {
     if (store_.add_mbr({entry.stream, entry.source, entry.mbr,
                         entry.batch_seq, now, entry.expires})) {
@@ -453,7 +442,7 @@ void NetNode::handle_replica_put(const routing::Message& msg,
 
 void NetNode::handle_handoff_request(const routing::Message& msg,
                                      sim::SimTime now) {
-  const auto payload = payload_of<core::HandoffRequestPayload>(msg);
+  const auto payload = routing::payload_of<core::HandoffRequestPayload>(msg);
   std::optional<core::ReplicaPutPayload> put =
       collect_arc_entries(payload->lo, payload->hi);
   if (!put.has_value()) {
@@ -469,7 +458,7 @@ void NetNode::handle_handoff_request(const routing::Message& msg,
 
 void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
                                          sim::SimTime now) {
-  const auto payload = payload_of<core::AntiEntropyDigestPayload>(msg);
+  const auto payload = routing::payload_of<core::AntiEntropyDigestPayload>(msg);
   // Pull direction: request every digest entry this store is missing.
   core::AntiEntropyRequestPayload request;
   request.requester = self_;
@@ -531,7 +520,8 @@ void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
 
 void NetNode::handle_anti_entropy_request(const routing::Message& msg,
                                           sim::SimTime now) {
-  const auto payload = payload_of<core::AntiEntropyRequestPayload>(msg);
+  const auto payload =
+      routing::payload_of<core::AntiEntropyRequestPayload>(msg);
   core::ReplicaPutPayload put;
   put.from = self_;
   put.repair = true;
@@ -818,7 +808,7 @@ void NetNode::send_digest_to(NodeIndex peer, sim::SimTime now) {
   digest.hi = hi;
   for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
     const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
+    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
       digest.mbr_keys.push_back({entry.stream, entry.batch_seq});
     }
   }
@@ -829,7 +819,7 @@ void NetNode::send_digest_to(NodeIndex peer, sim::SimTime now) {
     const auto [rlo, rhi] =
         strategy_->key_map().query_range(sub.query->features,
                                          sub.query->radius);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
+    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
       digest.query_ids.push_back(id);
     }
   }
@@ -845,7 +835,7 @@ std::optional<core::ReplicaPutPayload> NetNode::collect_arc_entries(Key lo,
   put.from = self_;
   for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
     const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
+    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
       put.mbrs.push_back({entry.stream, entry.source, entry.mbr,
                           entry.batch_seq, entry.expires});
     }
@@ -857,7 +847,7 @@ std::optional<core::ReplicaPutPayload> NetNode::collect_arc_entries(Key lo,
     const auto [rlo, rhi] =
         strategy_->key_map().query_range(sub.query->features,
                                          sub.query->radius);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
+    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
       put.subscriptions.push_back({sub.query, sub.middle_key, sub.expires});
     }
   }
@@ -865,14 +855,6 @@ std::optional<core::ReplicaPutPayload> NetNode::collect_arc_entries(Key lo,
     return std::nullopt;
   }
   return put;
-}
-
-bool NetNode::range_intersects_arc(Key lo, Key hi, Key a, Key b) const {
-  const common::IdSpace& space = ring_.space();
-  // [lo, hi] meets (a, b] iff the range starts inside the arc, ends inside
-  // it, or swallows it whole.
-  return space.in_half_open(lo, a, b) || space.in_half_open(hi, a, b) ||
-         space.in_closed(b, lo, hi);
 }
 
 NodeIndex NetNode::next_live_successor(NodeIndex from) {

@@ -236,8 +236,6 @@ class NetNode {
   /// Builds a ReplicaPutPayload of the stored entries whose key range
   /// intersects the clockwise arc (lo, hi]; empty optional when none do.
   std::optional<core::ReplicaPutPayload> collect_arc_entries(Key lo, Key hi);
-  /// Whether the closed key range [lo, hi] intersects the arc (a, b].
-  bool range_intersects_arc(Key lo, Key hi, Key a, Key b) const;
   /// First non-dead successor after `from` (wrapping, never self unless the
   /// whole ring is dead); `steps` caps the walk.
   NodeIndex next_live_successor(NodeIndex from);

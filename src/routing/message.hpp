@@ -8,7 +8,9 @@
 
 #include <any>
 #include <cstdint>
+#include <memory>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "sim/time.hpp"
 
@@ -134,5 +136,15 @@ struct Message {
   /// per-kind payload codecs of src/net/wire.hpp.
   std::any payload;
 };
+
+/// The typed payload a message carries: middleware payloads ride in
+/// `Message::payload` as a non-null `std::shared_ptr<const T>`. Aborts if the
+/// message carries anything else.
+template <typename T>
+const std::shared_ptr<const T>& payload_of(const Message& msg) {
+  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
+  SDSI_CHECK(ptr != nullptr && *ptr != nullptr);
+  return *ptr;
+}
 
 }  // namespace sdsi::routing

@@ -5,34 +5,25 @@
 // instant run in scheduling order (a monotone sequence number breaks ties),
 // which makes whole simulations bit-reproducible.
 //
-// Two interchangeable scheduler backends execute the exact same
-// (when, seq) lexicographic order, so a whole simulation is bit-identical
-// on either:
+// The scheduler is a calendar queue. Time is divided into
+// 2^kBucketBits-microsecond buckets on a kNumBuckets-wide wheel; each bucket
+// is a small binary heap of 24-byte refs ordered by (when, seq), and events
+// beyond the wheel span sit in an overflow store that is re-partitioned as
+// the window advances. Event closures live in a free-list slot pool,
+// periodic tasks reschedule in place (same slot, fresh sequence number), and
+// cancellation is a generation-counter bump that is purged lazily —
+// steady-state scheduling performs no heap allocation and no
+// O(log total-pending) sift over fat entries.
 //
-//  - kCalendar (the default): a calendar queue. Time is divided into
-//    2^kBucketBits-microsecond buckets on a kNumBuckets-wide wheel; each
-//    bucket is a small binary heap of 24-byte refs ordered by (when, seq),
-//    and events beyond the wheel span sit in an overflow store that is
-//    re-partitioned as the window advances. Event closures live in a
-//    free-list slot pool, periodic tasks reschedule in place (same slot,
-//    fresh sequence number), and cancellation is a generation-counter bump
-//    that is purged lazily — steady-state scheduling performs no heap
-//    allocation and no O(log total-pending) sift over fat entries.
-//
-//  - kLegacyHeap: the pre-calendar kernel (one global std::priority_queue
-//    plus a shared_ptr<bool> liveness flag per event), kept for one release
-//    behind the SDSI_SIM_HEAP_QUEUE environment variable as the measured
-//    baseline of BENCH_scale.json and the scheduler-equivalence test. It
-//    deliberately preserves the pre-change cost profile, including
-//    pending_events() counting cancelled entries until their deadline
-//    (the calendar backend reports live events only).
+// bench/reference_heap.hpp keeps the binary-heap kernel this queue replaced,
+// as the baseline of bench_scale and the reference of the kernel
+// differential test in tests/test_sim.cpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/check.hpp"
@@ -43,11 +34,6 @@
 namespace sdsi::sim {
 
 class Simulator;
-
-/// Scheduler backend selection. kAuto honors the SDSI_SIM_HEAP_QUEUE
-/// environment variable (non-empty, not "0" => legacy heap), otherwise
-/// picks the calendar queue.
-enum class QueueBackend : std::uint8_t { kAuto, kCalendar, kLegacyHeap };
 
 /// Cancellation handle for periodic tasks (and one-shot events). Destroying
 /// the handle does NOT cancel; call cancel(). A handle may outlive the
@@ -62,15 +48,13 @@ class TaskHandle {
 
  private:
   friend class Simulator;
-  explicit TaskHandle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
   TaskHandle(const std::shared_ptr<Simulator>& sim, std::uint32_t slot,
              std::uint32_t gen)
       : sim_(sim), slot_(slot), gen_(gen) {}
 
-  std::shared_ptr<bool> alive_;  // legacy backend
-  // Calendar backend: pooled slot + generation. The weak_ptr tracks the
-  // Simulator's non-owning liveness token, so it expires with the Simulator
-  // and a stale handle never dereferences a dangling pointer.
+  // Pooled slot + generation. The weak_ptr tracks the Simulator's
+  // non-owning liveness token, so it expires with the Simulator and a stale
+  // handle never dereferences a dangling pointer.
   std::weak_ptr<Simulator> sim_;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
@@ -78,8 +62,7 @@ class TaskHandle {
 
 class Simulator {
  public:
-  Simulator() : Simulator(QueueBackend::kAuto) {}
-  explicit Simulator(QueueBackend backend);
+  Simulator() : buckets_(kNumBuckets) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -113,32 +96,19 @@ class Simulator {
 
   std::uint64_t executed_events() const noexcept { return executed_; }
 
-  /// Number of scheduled events that will still run. The calendar backend
-  /// counts live events only (cancelled entries are excluded and purged
-  /// lazily); the legacy backend keeps the pre-change behavior of counting
-  /// cancelled entries until their deadline passes.
-  std::size_t pending_events() const noexcept {
-    return calendar_ ? live_events_ : heap_queue_.size();
-  }
+  /// Number of scheduled events that will still run. Cancelled events are
+  /// excluded at once (their queue entries are purged lazily).
+  std::size_t pending_events() const noexcept { return live_events_; }
 
-  bool using_calendar_queue() const noexcept { return calendar_; }
-
-  /// Whether callers should park bulky event payloads (routing messages) in
-  /// free-list pools. Reported off on the legacy backend so the escape
-  /// hatch reproduces the pre-change per-event heap traffic.
-  bool pooled_events() const noexcept { return calendar_; }
-
-  /// Test hook: invoked as probe(when, seq) immediately before each live
-  /// event executes. Used by the scheduler-equivalence test to assert both
-  /// backends replay the identical event order.
+  /// Invoked as probe(when, seq) immediately before each live event
+  /// executes: tests check the executed order with it, profilers count and
+  /// time kernel events.
   void set_execution_probe(std::function<void(SimTime, SeqNo)> probe) {
     probe_ = std::move(probe);
   }
 
  private:
   friend class TaskHandle;
-
-  // ---- calendar backend ----
 
   // 2^kBucketBits microseconds per bucket; kNumBuckets buckets on the
   // wheel => a ~2.1-second span before events spill to the overflow store.
@@ -213,7 +183,12 @@ class Simulator {
   /// reschedules periodics). Returns 1 if an event executed, else 0.
   std::uint64_t execute_ref(const Ref& ref);
 
-  std::uint64_t run_calendar(std::int64_t horizon_us);
+  /// Wheel drained: jumps the window straight to the earliest overflow
+  /// event instead of scanning empty buckets toward it. Returns false if the
+  /// overflow store is empty or its earliest bucket starts past the horizon.
+  bool jump_to_overflow(std::int64_t horizon_us);
+  /// Executes every live event with when <= horizon_us.
+  std::uint64_t drain(std::int64_t horizon_us);
 
   std::vector<std::vector<Ref>> buckets_;
   std::vector<Ref> overflow_;
@@ -221,67 +196,32 @@ class Simulator {
   std::uint32_t slot_count_ = 0;  // slots handed out across all chunks
   std::vector<std::uint32_t> free_slots_;
   std::int64_t cur_bucket_ = 0;   // next bucket to drain (absolute index)
-  std::int64_t wheel_end_ = 0;    // refs with bucket >= wheel_end_ overflow
+  // Refs with bucket >= wheel_end_ overflow.
+  std::int64_t wheel_end_ = static_cast<std::int64_t>(kNumBuckets);
   std::size_t wheel_refs_ = 0;    // refs currently parked on the wheel
   std::size_t live_events_ = 0;   // scheduled and not cancelled
   std::size_t stale_refs_ = 0;    // cancelled refs awaiting lazy purge
   std::uint32_t executing_slot_ = kNoSlot;
 
-  // ---- legacy heap backend (SDSI_SIM_HEAP_QUEUE) ----
-
-  // The entry layout is the seed kernel's, byte for byte: a 16-byte-SBO
-  // std::function (so the periodic reschedule closure heap-allocates on
-  // every firing, as pre-change) next to the per-event shared_ptr<bool>.
-  struct HeapEntry {
-    SimTime when;
-    SeqNo seq;
-    std::shared_ptr<bool> alive;  // null => unconditional
-    std::function<void()> fn;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  void execute_legacy(HeapEntry& entry);
-  std::uint64_t run_legacy(SimTime horizon, bool bounded);
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater>
-      heap_queue_;
-
-  // ---- shared state ----
-
-  bool calendar_ = true;
   SimTime now_;
   SeqNo next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::function<void(SimTime, SeqNo)> probe_;
 
-  // Non-owning liveness token handed to calendar-backend TaskHandles (one
-  // allocation per Simulator, not per event). Declared last so it is the
-  // first member destroyed: every outstanding handle goes inert before the
-  // slot pool and wheel tear down.
+  // Non-owning liveness token handed to TaskHandles (one allocation per
+  // Simulator, not per event). Declared last so it is the first member
+  // destroyed: every outstanding handle goes inert before the slot pool and
+  // wheel tear down.
   std::shared_ptr<Simulator> live_token_{this, [](Simulator*) {}};
 };
 
 inline void TaskHandle::cancel() noexcept {
-  if (alive_) {
-    *alive_ = false;
-    return;
-  }
   if (const auto sim = sim_.lock()) {
     sim->cancel_slot(slot_, gen_);
   }
 }
 
 inline bool TaskHandle::active() const noexcept {
-  if (alive_) {
-    return *alive_;
-  }
   const auto sim = sim_.lock();
   return sim != nullptr && sim->slot_active(slot_, gen_);
 }

@@ -122,18 +122,46 @@ TEST(IdSpace, MidpointIsInsideRange) {
   }
 }
 
+TEST(IdSpace, RangeIntersectsArcWrappedRange) {
+  const IdSpace space(6);
+  // [60, 3] wraps through 0.
+  EXPECT_TRUE(space.range_intersects_arc(60, 3, 1, 10));    // ends inside
+  EXPECT_TRUE(space.range_intersects_arc(60, 3, 55, 62));   // starts inside
+  EXPECT_FALSE(space.range_intersects_arc(60, 3, 10, 50));  // clear of it
+  // A wrapped arc (55, 5] against a plain range ending at its start.
+  EXPECT_FALSE(space.range_intersects_arc(40, 55, 55, 5));
+}
+
+TEST(IdSpace, RangeIntersectsArcSwallowsWholeArc) {
+  const IdSpace space(6);
+  // Neither endpoint lies in the arc, but the range covers it entirely.
+  EXPECT_TRUE(space.range_intersects_arc(5, 40, 10, 20));
+  EXPECT_TRUE(space.range_intersects_arc(50, 30, 55, 5));  // both wrap
+  // A one-point range on the arc's closed end.
+  EXPECT_TRUE(space.range_intersects_arc(20, 20, 10, 20));
+  // a == b is the full circle: every range meets it.
+  EXPECT_TRUE(space.range_intersects_arc(33, 34, 7, 7));
+}
+
+TEST(IdSpace, RangeIntersectsArcDisjointRange) {
+  const IdSpace space(6);
+  EXPECT_FALSE(space.range_intersects_arc(21, 30, 10, 20));
+  // The arc is open at a: a range ending exactly at a misses it.
+  EXPECT_FALSE(space.range_intersects_arc(5, 10, 10, 20));
+  EXPECT_FALSE(space.range_intersects_arc(10, 10, 10, 20));
+}
+
 class IdSpaceWidths : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(IdSpaceWidths, IntervalIdentities) {
   const IdSpace space(GetParam());
-  const Key quarter = space.mask() / 4;
-  const Key a = quarter;
-  const Key b = space.wrap(3 * static_cast<std::uint64_t>(quarter));
-  if (a == b) {
-    // Degenerate tiny rings: (a, a] is the full circle while [a, a] is a
-    // single point by convention, so the identities below do not apply.
-    GTEST_SKIP();
-  }
+  // a != b at every width: the identities do not hold for a == b, where
+  // (a, a] is the full circle but [a, a] a single point. a sits a quarter of
+  // the way round and b half the circle further (at least one step).
+  const Key a = space.mask() / 4;
+  const Key half = space.mask() / 2 > 0 ? space.mask() / 2 : 1;
+  const Key b = space.wrap(a + half);
+  ASSERT_NE(a, b);
   // in_half_open == in_open || key == b.
   for (const Key key :
        {Key{0}, a, space.wrap(a + 1), space.wrap(b - 1), b, space.mask()}) {

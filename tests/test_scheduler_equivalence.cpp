@@ -1,9 +1,9 @@
-// Scheduler-backend determinism gate: the canonical seeded chaos scenario
-// (bursty link loss + a crash wave + the self-healing path, as in
-// test_chaos.cpp) must be bit-identical under the old binary-heap kernel
-// (the SDSI_SIM_HEAP_QUEUE escape hatch) and the calendar-queue kernel —
-// the identical event execution order (when, seq) stream, identical
-// per-query matched stream sets, and a byte-equal metrics.json.
+// Scheduler order gate on a full system: the canonical seeded chaos
+// scenario (bursty link loss + a crash wave + the self-healing path, as in
+// test_chaos.cpp) drives the kernel hard, and every executed event's
+// (when, seq) pair must rise strictly — no event runs before one it should
+// follow. The kernel-level differential replay against the reference
+// binary-heap kernel lives in test_sim.cpp.
 //
 // Runs under both the chaos-smoke and tsan-smoke labels, mirroring
 // test_parallel_equivalence.
@@ -11,18 +11,16 @@
 
 #include <cstdint>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/experiment.hpp"
 
 namespace sdsi::core {
 namespace {
 
-ExperimentConfig chaos_config(sim::QueueBackend backend,
-                              const std::string& obs_dir) {
+ExperimentConfig chaos_config(const std::string& obs_dir) {
   ExperimentConfig config;
   config.num_nodes = 50;
   config.seed = 42;
@@ -43,7 +41,6 @@ ExperimentConfig chaos_config(sim::QueueBackend backend,
   config.mbr_refresh_period = sim::Duration::millis(1500);
   config.query_refresh_period = sim::Duration::millis(2500);
   config.drain = sim::Duration::millis(3000);
-  config.queue_backend = backend;
   config.obs.dir = obs_dir;
   return config;
 }
@@ -56,75 +53,33 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
-struct RunDigest {
-  // The executed-event stream, folded: count plus an FNV-1a hash over every
-  // (when_us, seq) pair in execution order.
+TEST(SchedulerEquivalence, ChaosRunExecutesInStrictWhenSeqOrder) {
+  const std::string obs_dir = ::testing::TempDir() + "sdsi_sched_order";
+  Experiment experiment(chaos_config(obs_dir));
   std::uint64_t events = 0;
-  std::uint64_t order_hash = 1469598103934665603ull;
-  std::map<QueryId, std::set<StreamId>> matched;
-  std::uint64_t matches = 0;
-  double recall = 0.0;
-  std::uint64_t mbr_retries = 0;
-  std::uint64_t heals = 0;
-  std::string metrics_json;
-};
-
-RunDigest run_once(sim::QueueBackend backend, const std::string& obs_dir) {
-  Experiment experiment(chaos_config(backend, obs_dir));
-  const bool want_calendar = backend == sim::QueueBackend::kCalendar;
-  EXPECT_EQ(experiment.simulator().using_calendar_queue(), want_calendar);
-  RunDigest digest;
+  std::uint64_t out_of_order = 0;
+  std::pair<std::int64_t, SeqNo> last{-1, 0};
   experiment.simulator().set_execution_probe(
-      [&digest](sim::SimTime when, SeqNo seq) {
-        ++digest.events;
-        const auto mix = [&digest](std::uint64_t v) {
-          for (int i = 0; i < 8; ++i) {
-            digest.order_hash ^= (v >> (i * 8)) & 0xff;
-            digest.order_hash *= 1099511628211ull;
-          }
-        };
-        mix(static_cast<std::uint64_t>(when.count_micros()));
-        mix(seq);
+      [&](sim::SimTime when, SeqNo seq) {
+        const std::pair<std::int64_t, SeqNo> cur{when.count_micros(), seq};
+        if (events > 0 && !(last < cur)) {
+          ++out_of_order;
+        }
+        last = cur;
+        ++events;
       });
   experiment.run();
-  for (const auto& [id, record] : experiment.system().client_records()) {
-    digest.matched[id] = std::set<StreamId>(record.matched_streams.begin(),
-                                            record.matched_streams.end());
-  }
-  digest.matches = experiment.quality_report().matches_reported;
-  const RobustnessReport robustness = experiment.robustness_report();
-  digest.recall = robustness.recall;
-  digest.mbr_retries = robustness.mbr_retries;
-  digest.heals = robustness.heals;
-  digest.metrics_json = slurp(obs_dir + "/metrics.json");
-  return digest;
-}
 
-TEST(SchedulerEquivalence, HeapAndCalendarReplayIdentically) {
-  const std::string base = ::testing::TempDir() + "sdsi_sched_eq";
-  const RunDigest heap = run_once(sim::QueueBackend::kLegacyHeap, base + "_h");
-  const RunDigest calendar =
-      run_once(sim::QueueBackend::kCalendar, base + "_c");
+  // The scenario must actually exercise the kernel hard, or the order check
+  // proves nothing: tens of thousands of events, real matches, faults,
+  // healing.
+  ASSERT_GT(events, 10000u);
+  EXPECT_EQ(events, experiment.simulator().executed_events());
+  ASSERT_GT(experiment.quality_report().matches_reported, 0u);
+  ASSERT_GT(experiment.robustness_report().mbr_retries, 0u);
+  ASSERT_FALSE(slurp(obs_dir + "/metrics.json").empty());
 
-  // The scenario must actually exercise the kernel hard, or equality proves
-  // nothing: tens of thousands of events, real matches, faults, healing.
-  ASSERT_GT(heap.events, 10000u);
-  ASSERT_GT(heap.matches, 0u);
-  ASSERT_GT(heap.mbr_retries, 0u);  // the healing path really fired
-  ASSERT_FALSE(heap.metrics_json.empty());
-
-  // Identical event execution order, event for event.
-  EXPECT_EQ(calendar.events, heap.events);
-  EXPECT_EQ(calendar.order_hash, heap.order_hash);
-  // Identical client-visible results.
-  EXPECT_EQ(calendar.matched, heap.matched);
-  EXPECT_EQ(calendar.matches, heap.matches);
-  EXPECT_EQ(calendar.recall, heap.recall);
-  EXPECT_EQ(calendar.mbr_retries, heap.mbr_retries);
-  EXPECT_EQ(calendar.heals, heap.heals);
-  // Byte equality of the whole export document: the backend must be as
-  // unobservable as the worker-lane count.
-  EXPECT_EQ(calendar.metrics_json, heap.metrics_json);
+  EXPECT_EQ(out_of_order, 0u);
 }
 
 }  // namespace

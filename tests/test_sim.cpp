@@ -1,8 +1,13 @@
-// Discrete-event simulator kernel: ordering, ties, periodics, cancellation.
+// Discrete-event simulator kernel: ordering, ties, periodics, cancellation,
+// and a differential replay against the reference binary-heap kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "bench/reference_heap.hpp"
 #include "sim/simulator.hpp"
 
 namespace sdsi::sim {
@@ -185,7 +190,7 @@ TEST(Simulator, HandleActiveReflectsState) {
 // deadline and were counted by pending_events(). The calendar backend now
 // excludes them immediately and purges the stale refs lazily.
 TEST(Simulator, PendingEventsExcludesCancelled) {
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   int ran = 0;
   TaskHandle a = sim.schedule_after(ms(10), [&] { ++ran; });
   TaskHandle b = sim.schedule_after(ms(20), [&] { ++ran; });
@@ -201,7 +206,7 @@ TEST(Simulator, PendingEventsExcludesCancelled) {
 }
 
 TEST(Simulator, CancelledPeriodicStopsCountingImmediately) {
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   int fires = 0;
   TaskHandle handle =
       sim.schedule_periodic(SimTime::zero() + ms(5), ms(5), [&] { ++fires; });
@@ -214,7 +219,7 @@ TEST(Simulator, CancelledPeriodicStopsCountingImmediately) {
 }
 
 TEST(Simulator, MassCancellationIsPurgedNotLeaked) {
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   int ran = 0;
   std::vector<TaskHandle> handles;
   for (int i = 0; i < 1000; ++i) {
@@ -231,7 +236,7 @@ TEST(Simulator, MassCancellationIsPurgedNotLeaked) {
 }
 
 TEST(Simulator, StaleHandleCancelDoesNotAffectRecycledSlot) {
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   int ran = 0;
   TaskHandle first = sim.schedule_after(ms(1), [&] { ++ran; });
   sim.run_all();
@@ -252,7 +257,7 @@ TEST(Simulator, RescheduleBehindParkedCursorKeepsOrder) {
   // must also restore the wheel-window invariant, or an event exactly one
   // wheel span ahead aliases onto the same physical bucket as the "now"
   // event and runs before the events between them.
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   TaskHandle stale = sim.schedule_after(Duration::seconds(100), [] {});
   stale.cancel();
   EXPECT_EQ(sim.run_all(), 0u);
@@ -274,7 +279,7 @@ TEST(Simulator, RewindWithLiveWheelRefsEvacuatesAliasedBuckets) {
   // the far-out window when the rewind happens. The rewind must evacuate it
   // (its logical bucket no longer fits the clamped window) so it cannot
   // alias with near-term events, and it must still run last.
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   TaskHandle stale = sim.schedule_after(Duration::seconds(100), [] {});
   stale.cancel();
   EXPECT_EQ(sim.run_all(), 0u);
@@ -299,7 +304,7 @@ TEST(TaskHandle, OutlivingSimulatorIsInert) {
   // no-ops (the handle checks a per-simulator liveness token), not UB.
   TaskHandle handle;
   {
-    Simulator sim(QueueBackend::kCalendar);
+    Simulator sim;
     handle = sim.schedule_after(ms(5), [] {});
     EXPECT_TRUE(handle.active());
   }
@@ -307,24 +312,10 @@ TEST(TaskHandle, OutlivingSimulatorIsInert) {
   handle.cancel();  // must not touch the destroyed Simulator
 }
 
-TEST(Simulator, LegacyBackendStillExecutesInOrder) {
-  Simulator sim(QueueBackend::kLegacyHeap);
-  EXPECT_FALSE(sim.using_calendar_queue());
-  EXPECT_FALSE(sim.pooled_events());
-  std::vector<int> order;
-  sim.schedule_at(SimTime::zero() + ms(20), [&] { order.push_back(2); });
-  sim.schedule_at(SimTime::zero() + ms(10), [&] { order.push_back(1); });
-  TaskHandle cancelled =
-      sim.schedule_at(SimTime::zero() + ms(15), [&] { order.push_back(9); });
-  cancelled.cancel();
-  sim.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
 TEST(Simulator, FarFutureEventsCrossOverflowWindow) {
   // Events beyond the wheel span park in the overflow store and must still
   // execute in exact (when, seq) order as the window advances to them.
-  Simulator sim(QueueBackend::kCalendar);
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(SimTime::zero() + Duration::seconds(300), [&] {
     order.push_back(3);
@@ -339,6 +330,183 @@ TEST(Simulator, FarFutureEventsCrossOverflowWindow) {
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_DOUBLE_EQ(sim.now().as_seconds(), 300.0);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel differential test: one seeded random schedule replayed on the
+// calendar queue and on the reference binary-heap kernel must execute the
+// identical (when, seq, event-id) stream and agree on executed_events(),
+// pending_events() and now() after every step of the schedule.
+
+struct Executed {
+  std::int64_t when_us = 0;
+  SeqNo seq = 0;
+  int id = -1;  // which scheduled event ran (filled in by its body)
+  bool operator==(const Executed&) const = default;
+};
+
+struct Checkpoint {
+  std::uint64_t executed = 0;
+  std::size_t pending = 0;
+  std::int64_t now_us = 0;
+  bool operator==(const Checkpoint&) const = default;
+};
+
+template <typename Sched>
+class RandomSchedule {
+ public:
+  explicit RandomSchedule(std::uint64_t seed) : rng_(seed) {
+    sim_.set_execution_probe([this](SimTime when, SeqNo seq) {
+      trace_.push_back(Executed{when.count_micros(), seq, -1});
+    });
+  }
+
+  void run() {
+    for (int phase = 0; phase < 6; ++phase) {
+      for (int i = 0; i < 60; ++i) {
+        one_shot(draw_delay());
+      }
+      for (int i = 0; i < 16; ++i) {
+        periodic(draw_delay());
+      }
+      for (int round = 0; round < 60; ++round) {
+        const std::uint64_t r = next(10);
+        if (r < 6) {
+          // run_until in uneven steps, zero-length ones included.
+          const auto span = static_cast<std::int64_t>(next(3000000));
+          sim_.run_until(sim_.now() + Duration::micros(span));
+        } else if (r < 9) {
+          for (std::uint64_t k = next(20); k > 0; --k) {
+            sim_.step();
+          }
+        } else {
+          // Outside the run loop: cancels, and a burst of same-instant ties.
+          for (std::uint64_t k = next(4); k > 0; --k) {
+            handles_[next(handles_.size())].cancel();
+          }
+          const Duration d = draw_delay();
+          for (int k = 0; k < 3; ++k) {
+            one_shot(d);
+          }
+        }
+        checkpoint();
+      }
+      // Cancel everything (periodics included) and drain the stale entries:
+      // the calendar's cursor parks on the last stale ref while now() stays.
+      for (Handle& handle : handles_) {
+        handle.cancel();
+      }
+      sim_.run_all();
+      checkpoint();
+      // Re-anchor the empty wheel far out, then schedule at now() and
+      // between: the cursor rewind with a live far ref (shrink_window).
+      one_shot(Duration::seconds(5));
+      one_shot(Duration());
+      one_shot(Duration::micros(25600));
+      one_shot(Duration::micros(8192 * 256));
+      checkpoint();
+    }
+    sim_.run_all();
+    checkpoint();
+  }
+
+  const std::vector<Executed>& trace() const { return trace_; }
+  const std::vector<Checkpoint>& checkpoints() const { return checkpoints_; }
+
+ private:
+  using Handle = decltype(std::declval<Sched&>().schedule_at(SimTime(),
+                                                             EventFn()));
+
+  std::uint64_t next(std::uint64_t bound) {
+    // splitmix64: identical draws on both kernels as long as the bodies run
+    // in the same order.
+    std::uint64_t z = (rng_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return (z ^ (z >> 31)) % bound;
+  }
+
+  /// Same instant, sub-bucket, within the ~2.1 s wheel span, or beyond it.
+  Duration draw_delay() {
+    const std::uint64_t r = next(100);
+    if (r < 15) {
+      return Duration();
+    }
+    if (r < 55) {
+      return Duration::micros(static_cast<std::int64_t>(next(5000)));
+    }
+    if (r < 85) {
+      return Duration::micros(static_cast<std::int64_t>(next(1000000)));
+    }
+    return Duration::micros(2200000 + static_cast<std::int64_t>(next(8000000)));
+  }
+
+  void one_shot(Duration delay) {
+    const int id = static_cast<int>(handles_.size());
+    handles_.push_back(
+        sim_.schedule_after(delay, [this, id] { body(id, false); }));
+  }
+
+  void periodic(Duration first) {
+    const int id = static_cast<int>(handles_.size());
+    const Duration period =
+        Duration::micros(1000 + static_cast<std::int64_t>(next(400000)));
+    handles_.push_back(sim_.schedule_periodic(
+        sim_.now() + first, period, [this, id] { body(id, true); }));
+  }
+
+  void body(int id, bool is_periodic) {
+    trace_.back().id = id;
+    const std::uint64_t r = next(100);
+    if (r < 30) {
+      one_shot(draw_delay());  // a zero delay schedules at now()
+    } else if (r < 40) {
+      handles_[next(handles_.size())].cancel();
+    } else if (r < 42) {
+      handles_[static_cast<std::size_t>(id)].cancel();  // self-cancel
+    } else if (r < 44 && is_periodic) {
+      periodic(draw_delay());
+    }
+  }
+
+  void checkpoint() {
+    checkpoints_.push_back(Checkpoint{sim_.executed_events(),
+                                      sim_.pending_events(),
+                                      sim_.now().count_micros()});
+  }
+
+  Sched sim_;
+  std::uint64_t rng_;
+  std::vector<Handle> handles_;
+  std::vector<Executed> trace_;
+  std::vector<Checkpoint> checkpoints_;
+};
+
+TEST(SimulatorDifferential, MatchesReferenceHeapOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomSchedule<Simulator> calendar(seed);
+    RandomSchedule<bench::ReferenceHeap> heap(seed);
+    calendar.run();
+    heap.run();
+
+    const std::vector<Executed>& got = calendar.trace();
+    const std::vector<Executed>& want = heap.trace();
+    // The schedule must be big enough to mean something.
+    ASSERT_GT(want.size(), 10000u);
+    ASSERT_EQ(got.size(), want.size());
+    const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(g == got.end())
+        << "event " << (g - got.begin()) << ": calendar ran (" << g->when_us
+        << " us, seq " << g->seq << ", id " << g->id << "), reference ran ("
+        << w->when_us << " us, seq " << w->seq << ", id " << w->id << ")";
+    EXPECT_TRUE(calendar.checkpoints() == heap.checkpoints());
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      ASSERT_TRUE(std::pair(got[i - 1].when_us, got[i - 1].seq) <
+                  std::pair(got[i].when_us, got[i].seq))
+          << "event " << i;
+    }
+  }
 }
 
 }  // namespace
