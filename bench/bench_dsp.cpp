@@ -204,11 +204,8 @@ void BM_IndexStoreMatch(benchmark::State& state) {
     core::IndexStore store;
     for (std::size_t i = 0; i < mbrs; ++i) {
       const double lo = rng.uniform(-1.0, 0.9);
-      core::IndexStore::StoredMbr entry;
-      entry.stream = i;
-      entry.mbr = dsp::Mbr({lo, lo}, {lo + 0.05, lo + 0.05});
-      entry.expires = expires;
-      store.add_mbr(std::move(entry));
+      store.add_mbr(i, /*source=*/0, dsp::Mbr({lo, lo}, {lo + 0.05, lo + 0.05}),
+                    /*batch_seq=*/0, sim::SimTime::zero(), expires);
     }
     for (std::size_t q = 0; q < subs; ++q) {
       core::SimilarityQuery query;

@@ -5,12 +5,19 @@
 // matching load of a key range spreads across the nodes covering it; here
 // one node's pass spreads across worker lanes the same way).
 //
+// Rows: match_brute_force and match_pruned time a subscription's first pass
+// (every pair scored); match_steady times the pass after it, once 5% more
+// MBRs have arrived — the NPER-tick steady state of a standing query, where
+// only the new pairs are scored. ops_per_sec counts the pairs a full rescan
+// would cover in every row, so the rows compare directly.
+//
 // Usage: bench_matching [--smoke] [--json <path>] [--threads LIST]
 //   --smoke    one quick configuration (CI smoke label)
 //   --json     also emit BENCH_matching.json-style results (schema v1 with
 //              the additive `threads` key, see bench_common.hpp)
 //   --threads  comma-separated lane counts for the scaling axis
 //              (default 1,2,4,8)
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -42,27 +49,34 @@ std::string describe(const MatchConfig& config) {
   return buf;
 }
 
-/// Populates one store with Table-I-like content: 4-real-dimensional MBRs
-/// (two retained complex coefficients) whose routing intervals are narrow —
-/// batches of consecutive windows are strongly correlated (Fig 3b) — and
-/// subscriptions whose balls use the paper's radii.
-core::IndexStore build_store(const MatchConfig& config, std::uint64_t seed) {
-  common::Pcg32 rng(seed, 17);
-  core::IndexStore store;
-  const auto expires = sim::SimTime::zero() + sim::Duration::seconds(3600);
-  for (std::size_t i = 0; i < config.mbrs; ++i) {
+const sim::SimTime kExpires =
+    sim::SimTime::zero() + sim::Duration::seconds(3600);
+
+/// Adds `count` Table-I-like MBRs for streams first_stream, first_stream+1,
+/// ...: 4-real-dimensional boxes (two retained complex coefficients) whose
+/// routing intervals are narrow — batches of consecutive windows are
+/// strongly correlated (Fig 3b).
+void add_mbrs(core::IndexStore& store, common::Pcg32& rng,
+              std::size_t first_stream, std::size_t count) {
+  for (std::size_t i = first_stream; i < first_stream + count; ++i) {
     std::vector<double> low(4);
     std::vector<double> high(4);
     for (std::size_t d = 0; d < low.size(); ++d) {
       low[d] = rng.uniform(-1.0, 0.92);
       high[d] = low[d] + rng.uniform(0.01, 0.06);
     }
-    core::IndexStore::StoredMbr entry;
-    entry.stream = i;
-    entry.mbr = dsp::Mbr(std::move(low), std::move(high));
-    entry.expires = expires;
-    store.add_mbr(std::move(entry));
+    store.add_mbr(i, /*source=*/0,
+                  dsp::Mbr(std::move(low), std::move(high)),
+                  /*batch_seq=*/0, sim::SimTime::zero(), kExpires);
   }
+}
+
+/// Populates one store with `config.mbrs` MBRs (see add_mbrs) and
+/// subscriptions whose balls use the paper's radii.
+core::IndexStore build_store(const MatchConfig& config, std::uint64_t seed) {
+  common::Pcg32 rng(seed, 17);
+  core::IndexStore store;
+  add_mbrs(store, rng, 0, config.mbrs);
   for (std::size_t q = 0; q < config.subs; ++q) {
     core::SimilarityQuery query;
     query.id = q;
@@ -72,7 +86,7 @@ core::IndexStore build_store(const MatchConfig& config, std::uint64_t seed) {
     query.radius = config.radius;
     store.add_subscription(
         std::make_shared<const core::SimilarityQuery>(std::move(query)), 0,
-        expires);
+        kExpires);
   }
   return store;
 }
@@ -95,6 +109,38 @@ EngineTiming time_engine(const MatchConfig& config, bool pruned,
     const auto start = Clock::now();
     const auto matches = pruned ? store.match(sim::SimTime::zero(), pool)
                                 : store.match_brute_force(sim::SimTime::zero());
+    const auto stop = Clock::now();
+    total_seconds += std::chrono::duration<double>(stop - start).count();
+    timing.matches += matches.size();
+  }
+  timing.wall_ms = total_seconds * 1e3;
+  const double pairs = static_cast<double>(config.mbrs) *
+                       static_cast<double>(config.subs) *
+                       static_cast<double>(config.repetitions);
+  timing.pairs_per_sec = total_seconds > 0.0 ? pairs / total_seconds : 0.0;
+  return timing;
+}
+
+/// The steady-state pass: after a first pass over the built store, 5% more
+/// MBRs (fresh streams) arrive and the next pass is timed. `matches` counts
+/// only that second pass; pruned == false replays both passes through the
+/// brute-force reference for the agreement check.
+EngineTiming time_steady(const MatchConfig& config, bool pruned) {
+  using Clock = std::chrono::steady_clock;
+  const auto pass = [pruned](core::IndexStore& store) {
+    return pruned ? store.match(sim::SimTime::zero())
+                  : store.match_brute_force(sim::SimTime::zero());
+  };
+  EngineTiming timing;
+  double total_seconds = 0.0;
+  for (int rep = 0; rep < config.repetitions; ++rep) {
+    const auto seed = static_cast<std::uint64_t>(rep) + 1;
+    core::IndexStore store = build_store(config, seed);
+    pass(store);
+    common::Pcg32 rng(seed, 29);
+    add_mbrs(store, rng, config.mbrs, std::max<std::size_t>(1, config.mbrs / 20));
+    const auto start = Clock::now();
+    const auto matches = pass(store);
     const auto stop = Clock::now();
     total_seconds += std::chrono::duration<double>(stop - start).count();
     timing.matches += matches.size();
@@ -202,6 +248,22 @@ int main(int argc, char** argv) {
     reporter.add(sdsi::bench::BenchResult{"match_pruned", label,
                                           pruned.pairs_per_sec,
                                           pruned.wall_ms, 1});
+
+    const EngineTiming steady_ref = time_steady(config, /*pruned=*/false);
+    const EngineTiming steady = time_steady(config, /*pruned=*/true);
+    if (steady_ref.matches != steady.matches) {
+      std::fprintf(stderr,
+                   "FATAL: steady pass disagrees with brute force (%zu vs "
+                   "%zu matches) at %s\n",
+                   steady_ref.matches, steady.matches, label.c_str());
+      return 1;
+    }
+    std::printf("%-38s %14.3g %12.3f %10zu  steady (+5%% mbrs)\n",
+                label.c_str(), steady.pairs_per_sec, steady.wall_ms,
+                steady.matches);
+    reporter.add(sdsi::bench::BenchResult{"match_steady", label,
+                                          steady.pairs_per_sec,
+                                          steady.wall_ms, 1});
   }
 
   // Thread-scaling axis: the sharded pass on the heaviest configuration.

@@ -92,9 +92,8 @@ void CentralizedSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
     case core::MsgKind::kMbrUpdate: {
       SDSI_CHECK(at == center_);
       const auto payload = routing::payload_of<core::MbrPayload>(msg);
-      store_.add_mbr(core::IndexStore::StoredMbr{
-          payload->stream, payload->source, payload->mbr, payload->batch_seq,
-          now, payload->expires});
+      store_.add_mbr(payload->stream, payload->source, payload->mbr,
+                     payload->batch_seq, now, payload->expires);
       return;
     }
     case core::MsgKind::kSimilarityQuery: {

@@ -57,9 +57,8 @@ void FloodingSystem::post_stream_value(NodeIndex node, StreamId stream,
   }
   // Summaries never leave the source: store locally, zero messages.
   const sim::SimTime now = routing_.simulator().now();
-  nodes_[node].store.add_mbr(core::IndexStore::StoredMbr{
-      stream, node, std::move(*closed), local.batch_seq++, now,
-      now + config_.mbr_lifespan});
+  nodes_[node].store.add_mbr(stream, node, *closed, local.batch_seq++, now,
+                             now + config_.mbr_lifespan);
 }
 
 core::QueryId FloodingSystem::subscribe_similarity(NodeIndex client,

@@ -8,23 +8,25 @@
 
 namespace sdsi::core {
 
-bool IndexStore::add_mbr(StoredMbr entry) {
-  SDSI_CHECK(!entry.mbr.empty());
-  if (dead(entry)) {
+bool IndexStore::add_mbr(StreamId stream, NodeIndex source,
+                         const dsp::Mbr& mbr, std::uint64_t batch_seq,
+                         sim::SimTime stored_at, sim::SimTime expires) {
+  SDSI_CHECK(!mbr.empty());
+  if (expires <= horizon_) {
     return false;  // arrived past its own lifespan: never observable
   }
   SDSI_CHECK(mbrs_.size() < std::numeric_limits<std::uint32_t>::max());
   const auto pos = static_cast<std::uint32_t>(mbrs_.size());
-  const MbrKey key{entry.stream, entry.batch_seq};
-  const auto [it, inserted] = by_key_.try_emplace(key, pos);
+  const auto [it, inserted] =
+      by_key_.try_emplace(MbrKey{stream, batch_seq}, pos);
   if (!inserted) {
     if (!dead(mbrs_[it->second])) {
       return false;  // duplicate delivery of a live batch: idempotent
     }
     it->second = pos;  // prior copy lapsed; this one supersedes it
   }
-  mbr_expiry_.push(MbrExpiry{entry.expires, pos});
-  mbrs_.push_back(std::move(entry));
+  mbr_expiry_.push(MbrExpiry{expires, pos});
+  mbrs_.push_back(StoredMbr{stream, source, mbr, batch_seq, stored_at, expires});
   ++alive_mbrs_;
   return true;
 }
@@ -92,7 +94,13 @@ void IndexStore::merge_pending() {
 }
 
 void IndexStore::compact() {
-  std::erase_if(mbrs_, [this](const StoredMbr& entry) { return dead(entry); });
+  const auto lapsed = [this](const StoredMbr& entry) { return dead(entry); };
+  // The erase keeps survivors in slab order, so the entries the previous
+  // pass saw stay a prefix: only its length changes.
+  settled_limit_ -= static_cast<std::size_t>(std::count_if(
+      mbrs_.begin(),
+      mbrs_.begin() + static_cast<std::ptrdiff_t>(settled_limit_), lapsed));
+  std::erase_if(mbrs_, lapsed);
   alive_mbrs_ = mbrs_.size();
 
   by_key_.clear();
@@ -127,6 +135,7 @@ void IndexStore::compact() {
 }
 
 void IndexStore::match_subscription(QueryId id, Subscription& sub,
+                                    std::span<const IntervalRef> stored_since,
                                     sim::SimTime now,
                                     std::vector<SimilarityMatch>& out,
                                     std::uint64_t& scanned) const {
@@ -142,29 +151,40 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
   // high <= low + max_extent_ the second condition bounds the search to
   // low >= query_low - max_extent_, so both ends binary-search.
   const double scan_from = query_low - max_extent_;
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), scan_from,
-      [](const IntervalRef& ref, double value) { return ref.low < value; });
-  for (; it != sorted_.end() && it->low <= query_high; ++it) {
-    ++scanned;
-    if (it->high < query_low) {
+  const auto window = [&](std::span<const IntervalRef> refs) {
+    const auto first = std::lower_bound(
+        refs.begin(), refs.end(), scan_from,
+        [](const IntervalRef& ref, double value) { return ref.low < value; });
+    const auto last = std::upper_bound(
+        first, refs.end(), query_high,
+        [](double value, const IntervalRef& ref) { return value < ref.low; });
+    return refs.subspan(static_cast<std::size_t>(first - refs.begin()),
+                        static_cast<std::size_t>(last - first));
+  };
+  const std::span<const IntervalRef> full = window(sorted_);
+  scanned += full.size();
+  // A settled subscription already scored every older entry, and none of
+  // those pairs can change verdict, so it scores only the newer ones.
+  for (const IntervalRef& ref : sub.settled ? window(stored_since) : full) {
+    if (ref.high < query_low) {
       continue;  // first-dim gap alone already exceeds the radius
     }
-    if (it->expires <= horizon_) {
+    if (ref.expires <= horizon_) {
       continue;  // lazily-deleted slot awaiting compaction
     }
-    if (sub.reported.contains(it->stream)) {
+    if (sub.reported.contains(ref.stream)) {
       continue;
     }
     // Only a surviving candidate touches the cold slab, for the full
     // multi-dimensional lower bound.
-    const StoredMbr& entry = mbrs_[it->pos];
+    const StoredMbr& entry = mbrs_[ref.pos];
     const double bound = entry.mbr.min_distance(query.features);
     if (bound <= query.radius) {
       sub.reported.insert(entry.stream);
       out.push_back(SimilarityMatch{id, entry.stream, bound, now});
     }
   }
+  sub.settled = true;
 }
 
 std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
@@ -178,21 +198,33 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   // order (and thus the downstream report/ack message sequence) must be a
   // function of the stored state, not of the container's insert/erase
   // history.
-  std::vector<std::pair<QueryId, Subscription>*> subs;
+  std::vector<std::pair<QueryId, Subscription*>> subs;
   subs.reserve(subscriptions_.size());
-  for (auto& entry : subscriptions_) {
-    subs.push_back(&entry);
+  bool any_settled = false;
+  for (auto& [id, sub] : subscriptions_) {
+    subs.emplace_back(id, &sub);
+    any_settled = any_settled || sub.settled;
   }
-  std::sort(subs.begin(), subs.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+  std::sort(subs.begin(), subs.end());  // ids are unique
+  // The index entries stored since the previous pass, in index order: all
+  // a settled subscription has left to score.
+  std::vector<IntervalRef> stored_since;
+  if (any_settled && settled_limit_ < mbrs_.size()) {
+    for (const IntervalRef& ref : sorted_) {
+      if (ref.pos >= settled_limit_) {
+        stored_since.push_back(ref);
+      }
+    }
+  }
+  settled_limit_ = mbrs_.size();
   // Below this many subscriptions a fan-out costs more than it saves; the
   // serial path is also the reference the sharded one must reproduce.
   constexpr std::size_t kParallelThreshold = 4;
   last_match_work_ = 0;
   if (pool == nullptr || pool->thread_count() <= 1 ||
       subs.size() < kParallelThreshold) {
-    for (auto* entry : subs) {
-      match_subscription(entry->first, entry->second, now, fresh,
+    for (const auto& [id, sub] : subs) {
+      match_subscription(id, *sub, stored_since, now, fresh,
                          last_match_work_);
     }
     return fresh;
@@ -205,8 +237,8 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   std::vector<std::vector<SimilarityMatch>> shards(subs.size());
   std::vector<std::uint64_t> scanned(subs.size(), 0);
   pool->parallel_for(subs.size(), [&](std::size_t i) {
-    match_subscription(subs[i]->first, subs[i]->second, now, shards[i],
-                       scanned[i]);
+    match_subscription(subs[i].first, *subs[i].second, stored_since, now,
+                       shards[i], scanned[i]);
   });
   for (const std::uint64_t n : scanned) {
     last_match_work_ += n;

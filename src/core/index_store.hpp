@@ -18,6 +18,18 @@
 // candidates still get the full multi-dimensional MBR lower bound, so the
 // Sec IV-E no-false-dismissal guarantee is untouched.
 //
+// Settled pairs (incremental matching). Stored MBRs and subscriptions never
+// change, and a subscription's `reported` set only grows, so once a pass has
+// scored a (subscription, MBR) pair its verdict is final: a pair that failed
+// the bound fails forever, and a reported stream is never reported again.
+// A subscription's first pass scans its whole index window; every later
+// pass scores it only against the MBRs stored since the previous pass. Those
+// are the slab positions at or past one boundary (`settled_limit_`); the
+// slab is append-only between compactions and compaction keeps slab order,
+// so the boundary carries through it as a single integer. The pass's work
+// figure (last_match_work) still counts the full window over the index,
+// tombstones included, so the overload layer sees the same load either way.
+//
 // Expiry is incremental ("expiry lanes"): a min-expiry heap per container
 // pops lapsed entries in O(log n) each instead of erase_if-scanning both
 // containers every NPER tick. MBR slots are deleted lazily (an entry is dead
@@ -27,6 +39,7 @@
 
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/dense_map.hpp"
@@ -54,14 +67,20 @@ class IndexStore {
     /// Streams already reported by THIS node for this query; reports are
     /// deduplicated per node, the aggregator dedups across nodes.
     DenseSet<StreamId> reported;
+    /// Whether a match pass has scored this subscription against every MBR
+    /// below the store's settled boundary.
+    bool settled = false;
   };
 
   /// Stores one MBR. Returns false without storing when the entry is already
   /// past the expiry horizon, or when a live entry with the same
   /// (stream, batch_seq) is present — duplicate deliveries from ack-driven
   /// retransmission or soft-state refresh are idempotent, so self-healing
-  /// can never inflate match counts.
-  bool add_mbr(StoredMbr entry);
+  /// can never inflate match counts. Both checks run before the entry is
+  /// built: `mbr` is copied once, and only when the entry is accepted.
+  bool add_mbr(StreamId stream, NodeIndex source, const dsp::Mbr& mbr,
+               std::uint64_t batch_seq, sim::SimTime stored_at,
+               sim::SimTime expires);
 
   /// Inserts or refreshes a subscription (range re-replication of the same
   /// query id keeps the original state).
@@ -76,7 +95,9 @@ class IndexStore {
   /// One matching pass (Eq. 8 + MBR lower bound): returns the NEW
   /// (query, stream) candidate pairs detected at `now`, recording them so
   /// they are never reported twice by this node. Runs expire(now) first, so
-  /// callers need no separate sweep.
+  /// callers need no separate sweep. Incremental: a subscription that had a
+  /// pass before is scored only against the MBRs stored since then (see
+  /// "Settled pairs" above); the result equals a full rescan.
   ///
   /// With a WorkerPool the per-subscription candidate scans are sharded
   /// across its threads (each subscription is owned by exactly one task;
@@ -96,8 +117,9 @@ class IndexStore {
     return subscriptions_.size();
   }
 
-  /// Interval-index entries visited by the most recent match() pass — the
-  /// pass's scan cost, used by the overload layer as the node's "index work".
+  /// Interval-index entries in the scan windows of the most recent match()
+  /// pass, tombstones and settled pairs included — the pass's scan cost,
+  /// used by the overload layer as the node's "index work".
   /// A sum over subscriptions, so the serial and pool-sharded passes report
   /// the identical number (hot-arc decisions stay thread-count-invariant).
   std::uint64_t last_match_work() const noexcept { return last_match_work_; }
@@ -171,24 +193,29 @@ class IndexStore {
   }
 
   /// One subscription's candidate scan (the shared body of the serial and
-  /// sharded match paths). Appends fresh matches to `out` and records them
-  /// in sub.reported. Reads only the frozen slab/index state; writes only
-  /// `sub` and `out`, so concurrent calls on distinct subscriptions are
-  /// race-free.
-  void match_subscription(QueryId id, Subscription& sub, sim::SimTime now,
-                          std::vector<SimilarityMatch>& out,
+  /// sharded match paths). Scans the subscription's whole index window on
+  /// its first pass and only the `stored_since` entries (the index entries
+  /// stored since the previous pass, in index order) afterwards. Appends
+  /// fresh matches to `out`, records them in sub.reported and marks `sub`
+  /// settled. Reads only the frozen slab/index state; writes only `sub` and
+  /// `out`, so concurrent calls on distinct subscriptions are race-free.
+  void match_subscription(QueryId id, Subscription& sub,
+                          std::span<const IntervalRef> stored_since,
+                          sim::SimTime now, std::vector<SimilarityMatch>& out,
                           std::uint64_t& scanned) const;
 
   /// Folds slab entries added since the last merge into the sorted index.
   void merge_pending();
 
-  /// Physically drops dead slab entries and rebuilds index + heap.
+  /// Physically drops dead slab entries and rebuilds index + heap (pending
+  /// entries included); remaps the settled boundary.
   void compact();
 
   // --- MBR side ---------------------------------------------------------
   std::vector<StoredMbr> mbrs_;      // slab: live entries + lazy tombstones
   std::vector<IntervalRef> sorted_;  // interval index, ascending by low
   std::size_t indexed_limit_ = 0;    // slab positions >= this are unindexed
+  std::size_t settled_limit_ = 0;  // slab positions < this predate last pass
   double max_extent_ = 0.0;  // widest routing interval in the index
   MinHeap<MbrExpiry> mbr_expiry_;
   // (stream, batch_seq) -> slab position; an entry whose slot is dead (lazy

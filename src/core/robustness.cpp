@@ -3,9 +3,8 @@
 namespace sdsi::core {
 
 void RecallOracle::on_publish(const MbrPayload& payload, sim::SimTime now) {
-  shadow_.add_mbr(IndexStore::StoredMbr{payload.stream, payload.source,
-                                        payload.mbr, payload.batch_seq, now,
-                                        payload.expires});
+  shadow_.add_mbr(payload.stream, payload.source, payload.mbr,
+                  payload.batch_seq, now, payload.expires);
 }
 
 void RecallOracle::on_subscribe(

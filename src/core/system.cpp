@@ -284,9 +284,9 @@ void MiddlewareSystem::publish_mbr(NodeIndex source, LocalStream& stream,
   }
 
   if (config_.store_local_summaries) {
-    const IndexStore::StoredMbr entry{payload->stream, source, payload->mbr,
-                                      payload->batch_seq, now, expires};
-    const bool added = nodes_[source].store.add_mbr(entry);
+    const bool added = nodes_[source].store.add_mbr(
+        payload->stream, source, payload->mbr, payload->batch_seq, now,
+        expires);
     if (added) {
       note_node_work(source, 1);
     }
@@ -294,7 +294,7 @@ void MiddlewareSystem::publish_mbr(NodeIndex source, LocalStream& stream,
     // dedup against this local store and handle_mbr never sees a first
     // store — mirror from here so the batch still reaches the replica set.
     if (added && replication_on() && covers_key(source, hi)) {
-      mirror_mbr(source, entry);
+      mirror_mbr(source, *payload);
     }
   }
 
@@ -757,10 +757,7 @@ void MiddlewareSystem::handle_mbr(NodeIndex at, const Message& msg) {
       if (target != kInvalidNode) {
         // Fall through to the ack below afterwards: the batch is durably on
         // its way to a split-group member, which is what the ack promises.
-        divert_store(at, target,
-                     IndexStore::StoredMbr{payload->stream, payload->source,
-                                           payload->mbr, payload->batch_seq,
-                                           now, payload->expires});
+        divert_store(at, target, *payload);
       } else {
         store_mbr_with_work(at, msg, *payload, now);
       }
@@ -787,10 +784,9 @@ bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
                                            sim::SimTime now) {
   // The payload carries its absolute expiry, so a retransmitted or
   // refreshed copy stores exactly what the first delivery would have.
-  const IndexStore::StoredMbr entry{payload.stream, payload.source,
-                                    payload.mbr, payload.batch_seq, now,
-                                    payload.expires};
-  const bool added = state_of(at).store.add_mbr(entry);
+  const bool added = state_of(at).store.add_mbr(
+      payload.stream, payload.source, payload.mbr, payload.batch_seq, now,
+      payload.expires);
   if (!added && payload.expires > now && metrics_.recording()) {
     ++metrics_.robustness().duplicate_stores;
   }
@@ -802,7 +798,7 @@ bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
   // refresh and retry redeliveries dedup above and never re-mirror.
   if (added && replication_on() && msg.has_range &&
       covers_key(at, msg.range_hi)) {
-    mirror_mbr(at, entry);
+    mirror_mbr(at, payload);
   }
   return added;
 }
@@ -1268,8 +1264,7 @@ void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
   sink->record(record);
 }
 
-void MiddlewareSystem::mirror_mbr(NodeIndex at,
-                                  const IndexStore::StoredMbr& entry) {
+void MiddlewareSystem::mirror_mbr(NodeIndex at, const MbrPayload& entry) {
   const std::vector<NodeIndex> replicas =
       routing_.successors(at, config_.replication_factor);
   if (replicas.empty()) {
@@ -1359,9 +1354,8 @@ void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
   StreamId first_stream = 0;
   std::uint64_t first_seq = 0;
   for (const ReplicaMbrEntry& entry : payload->mbrs) {
-    if (state.store.add_mbr(IndexStore::StoredMbr{entry.stream, entry.source,
-                                                  entry.mbr, entry.batch_seq,
-                                                  now, entry.expires})) {
+    if (state.store.add_mbr(entry.stream, entry.source, entry.mbr,
+                            entry.batch_seq, now, entry.expires)) {
       if (added == 0) {
         first_stream = entry.stream;
         first_seq = entry.batch_seq;
@@ -1915,7 +1909,7 @@ NodeIndex MiddlewareSystem::divert_target(const MiddlewareNode& state,
 }
 
 void MiddlewareSystem::divert_store(NodeIndex at, NodeIndex target,
-                                    const IndexStore::StoredMbr& entry) {
+                                    const MbrPayload& entry) {
   const auto payload = std::make_shared<const ReplicaPutPayload>(
       ReplicaPutPayload{at,
                         {ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,

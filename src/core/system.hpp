@@ -455,7 +455,7 @@ class MiddlewareSystem {
   /// Mirrors one just-stored MBR batch to `at`'s replica set. Called by the
   /// key-range owner only (the node covering the range's hi end), so each
   /// batch is mirrored once per publication.
-  void mirror_mbr(NodeIndex at, const IndexStore::StoredMbr& entry);
+  void mirror_mbr(NodeIndex at, const MbrPayload& entry);
 
   /// Mirrors one just-installed subscription to `at`'s replica set.
   void mirror_subscription(NodeIndex at, const IndexStore::Subscription& sub);
@@ -514,8 +514,7 @@ class MiddlewareSystem {
 
   /// Forwards one store entry to a split delegate via kReplicaPut
   /// (idempotent at the receiver).
-  void divert_store(NodeIndex at, NodeIndex target,
-                    const IndexStore::StoredMbr& entry);
+  void divert_store(NodeIndex at, NodeIndex target, const MbrPayload& entry);
 
   /// Mirrors every live subscription of `node` to its split delegates so
   /// diverted MBRs still meet the subscriptions they must match.

@@ -14,19 +14,23 @@ constexpr double kTau = 2.0 * std::numbers::pi;
 
 }  // namespace
 
-std::vector<Complex> naive_dft(std::span<const Sample> signal) {
+Complex dft_bin(std::span<const Sample> signal, std::size_t f) {
   const std::size_t n = signal.size();
   SDSI_CHECK(n > 0);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(n));
-  std::vector<Complex> spectrum(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    Complex acc{0.0, 0.0};
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = -kTau * static_cast<double>(f) *
-                           static_cast<double>(j) / static_cast<double>(n);
-      acc += signal[j] * Complex(std::cos(angle), std::sin(angle));
-    }
-    spectrum[f] = acc * scale;
+  Complex acc{0.0, 0.0};
+  for (std::size_t j = 0; j < n; ++j) {
+    const double angle = -kTau * static_cast<double>(f) *
+                         static_cast<double>(j) / static_cast<double>(n);
+    acc += signal[j] * Complex(std::cos(angle), std::sin(angle));
+  }
+  return acc * (1.0 / std::sqrt(static_cast<double>(n)));
+}
+
+std::vector<Complex> naive_dft(std::span<const Sample> signal) {
+  SDSI_CHECK(!signal.empty());
+  std::vector<Complex> spectrum(signal.size());
+  for (std::size_t f = 0; f < spectrum.size(); ++f) {
+    spectrum[f] = dft_bin(signal, f);
   }
   return spectrum;
 }

@@ -19,6 +19,11 @@ using Complex = std::complex<double>;
 /// implementation the FFT is tested against.
 std::vector<Complex> naive_dft(std::span<const Sample> signal);
 
+/// Bin `f` of naive_dft, in O(N): naive_dft evaluates exactly this for
+/// every bin, so a caller that keeps only a few bins gets bit-identical
+/// values for the cost of those bins alone.
+Complex dft_bin(std::span<const Sample> signal, std::size_t f);
+
 /// Naive O(N^2) unitary inverse DFT (Eq. 4) returning a complex signal.
 std::vector<Complex> naive_inverse_dft(std::span<const Complex> spectrum);
 

@@ -32,17 +32,20 @@ FeatureVector extract_features(std::span<const Sample> window,
   SDSI_CHECK(window.size() == config.window_size);
   const std::vector<Sample> normalized =
       normalize(window, config.normalization);
+  const std::size_t first = config.first_coefficient();
+  std::vector<Complex> kept(config.num_coefficients);
   if (config.synopsis == Synopsis::kHaar) {
     const std::vector<double> coefficients = haar_transform(normalized);
-    const std::size_t first = config.first_coefficient();
-    std::vector<Complex> kept(config.num_coefficients);
     for (std::size_t i = 0; i < kept.size(); ++i) {
       kept[i] = Complex{coefficients[first + i], 0.0};
     }
-    return FeatureVector(std::move(kept));
+  } else {
+    // Only the retained bins: O(N k), bit-identical to slicing naive_dft.
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      kept[i] = dft_bin(normalized, first + i);
+    }
   }
-  const std::vector<Complex> spectrum = naive_dft(normalized);
-  return slice_features(spectrum, config);
+  return FeatureVector(std::move(kept));
 }
 
 FeatureVector slice_features(std::span<const Complex> spectrum,

@@ -82,12 +82,10 @@ double Mbr::min_distance(const FeatureVector& point) const noexcept {
     const double coords[2] = {point[i].real(), point[i].imag()};
     for (std::size_t part = 0; part < 2; ++part) {
       const std::size_t d = 2 * i + part;
-      double gap = 0.0;
-      if (coords[part] < low_[d]) {
-        gap = low_[d] - coords[part];
-      } else if (coords[part] > high_[d]) {
-        gap = coords[part] - high_[d];
-      }
+      // Branch-free: at most one side is positive, and adding the other
+      // side's 0.0 leaves it exact.
+      const double gap = std::max(0.0, low_[d] - coords[part]) +
+                         std::max(0.0, coords[part] - high_[d]);
       total += gap * gap;
     }
   }

@@ -59,8 +59,8 @@ void NetNode::publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
                        expires});
 
   if (config_.store_local_summaries) {
-    if (store_.add_mbr({payload->stream, self_, payload->mbr,
-                        payload->batch_seq, now, expires})) {
+    if (store_.add_mbr(payload->stream, self_, payload->mbr,
+                       payload->batch_seq, now, expires)) {
       ++counters_.mbrs_stored;
     }
   }
@@ -281,8 +281,8 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
   // idempotent, same as the sim's handle_mbr).
   bool stored = false;
   if (!(config_.store_local_summaries && payload->source == self_)) {
-    stored = store_.add_mbr({payload->stream, payload->source, payload->mbr,
-                             payload->batch_seq, now, payload->expires});
+    stored = store_.add_mbr(payload->stream, payload->source, payload->mbr,
+                            payload->batch_seq, now, payload->expires);
     if (stored) {
       ++counters_.mbrs_stored;
     }
@@ -427,8 +427,8 @@ void NetNode::handle_replica_put(const routing::Message& msg,
                                  sim::SimTime now) {
   const auto payload = routing::payload_of<core::ReplicaPutPayload>(msg);
   for (const core::ReplicaMbrEntry& entry : payload->mbrs) {
-    if (store_.add_mbr({entry.stream, entry.source, entry.mbr,
-                        entry.batch_seq, now, entry.expires})) {
+    if (store_.add_mbr(entry.stream, entry.source, entry.mbr,
+                       entry.batch_seq, now, entry.expires)) {
       ++counters_.replica_entries_stored;
     }
   }

@@ -43,9 +43,8 @@ struct ChurnHarness {
                 net),
                middleware_config()) {
     system.set_publish_hook([this](const MbrPayload& payload) {
-      reference.add_mbr(IndexStore::StoredMbr{payload.stream, payload.source,
-                                              payload.mbr, payload.batch_seq,
-                                              sim.now(), payload.expires});
+      reference.add_mbr(payload.stream, payload.source, payload.mbr,
+                        payload.batch_seq, sim.now(), payload.expires);
     });
     system.set_query_hook(
         [this](std::shared_ptr<const SimilarityQuery> query) {

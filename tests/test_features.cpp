@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "dsp/features.hpp"
+#include "dsp/haar.hpp"
 
 namespace sdsi::dsp {
 namespace {
@@ -89,6 +90,48 @@ TEST(SliceFeatures, MatchesExtract) {
   EXPECT_EQ(sliced.size(), extracted.size());
   for (std::size_t i = 0; i < sliced.size(); ++i) {
     EXPECT_NEAR(std::abs(sliced[i] - extracted[i]), 0.0, 1e-12);
+  }
+}
+
+TEST(ExtractFeatures, RetainedBinsBitIdenticalToFullSpectrum) {
+  // extract_features evaluates only the k retained DFT bins; each must be
+  // exactly the value the full naive_dft gives that bin (==, no tolerance),
+  // so features — and every MBR and key derived from them — are unchanged.
+  for (const std::size_t n : {16u, 32u, 100u, 256u}) {
+    for (const Normalization norm :
+         {Normalization::kZNormalize, Normalization::kUnitNormalize}) {
+      for (const std::size_t k : {1u, 2u, 4u}) {
+        for (std::uint64_t seed = 0; seed < 3; ++seed) {
+          const auto window = random_walk_window(n, seed);
+          const FeatureConfig cfg = config(n, k, norm);
+          const FeatureVector expected =
+              slice_features(naive_dft(normalize(window, norm)), cfg);
+          EXPECT_EQ(extract_features(window, cfg), expected)
+              << "n=" << n << " k=" << k << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExtractFeatures, HaarKeepsTransformPrefix) {
+  for (const std::size_t n : {16u, 32u, 256u}) {
+    for (const Normalization norm :
+         {Normalization::kZNormalize, Normalization::kUnitNormalize}) {
+      for (const std::size_t k : {1u, 2u, 4u}) {
+        const auto window = random_walk_window(n, 7);
+        FeatureConfig cfg = config(n, k, norm);
+        cfg.synopsis = Synopsis::kHaar;
+        const std::vector<double> coefficients =
+            haar_transform(normalize(window, norm));
+        std::vector<Complex> kept;
+        for (std::size_t i = 0; i < k; ++i) {
+          kept.emplace_back(coefficients[cfg.first_coefficient() + i], 0.0);
+        }
+        EXPECT_EQ(extract_features(window, cfg), FeatureVector(kept))
+            << "n=" << n << " k=" << k;
+      }
+    }
   }
 }
 

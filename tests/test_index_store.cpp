@@ -14,14 +14,10 @@ sim::SimTime at_ms(std::int64_t ms) {
   return sim::SimTime::zero() + sim::Duration::millis(ms);
 }
 
-IndexStore::StoredMbr mbr_entry(StreamId stream, double lo, double hi,
-                                std::int64_t expires_ms) {
-  IndexStore::StoredMbr entry;
-  entry.stream = stream;
-  entry.source = 0;
-  entry.mbr = dsp::Mbr({lo, 0.0}, {hi, 0.0});
-  entry.expires = at_ms(expires_ms);
-  return entry;
+bool add_box(IndexStore& store, StreamId stream, double lo, double hi,
+             std::int64_t expires_ms) {
+  return store.add_mbr(stream, /*source=*/0, dsp::Mbr({lo, 0.0}, {hi, 0.0}),
+                       /*batch_seq=*/0, at_ms(0), at_ms(expires_ms));
 }
 
 std::shared_ptr<const SimilarityQuery> query(QueryId id, double center,
@@ -43,7 +39,7 @@ TEST(IndexStore, EmptyStoreMatchesNothing) {
 
 TEST(IndexStore, MatchWithinRadius) {
   IndexStore store;
-  store.add_mbr(mbr_entry(7, 0.30, 0.35, 10000));
+  add_box(store, 7, 0.30, 0.35, 10000);
   store.add_subscription(query(1, 0.32, 0.1), 0, at_ms(10000));
   const auto matches = store.match(at_ms(100));
   ASSERT_EQ(matches.size(), 1u);
@@ -54,7 +50,7 @@ TEST(IndexStore, MatchWithinRadius) {
 
 TEST(IndexStore, NoMatchOutsideRadius) {
   IndexStore store;
-  store.add_mbr(mbr_entry(7, 0.80, 0.85, 10000));
+  add_box(store, 7, 0.80, 0.85, 10000);
   store.add_subscription(query(1, 0.32, 0.1), 0, at_ms(10000));
   EXPECT_TRUE(store.match(at_ms(100)).empty());
 }
@@ -62,13 +58,13 @@ TEST(IndexStore, NoMatchOutsideRadius) {
 TEST(IndexStore, MatchReportsEachStreamOnce) {
   IndexStore store;
   store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
-  store.add_mbr(mbr_entry(7, 0.29, 0.31, 10000));
+  add_box(store, 7, 0.29, 0.31, 10000);
   EXPECT_EQ(store.match(at_ms(100)).size(), 1u);
   // A later MBR of the same stream must not re-report.
-  store.add_mbr(mbr_entry(7, 0.30, 0.32, 10000));
+  add_box(store, 7, 0.30, 0.32, 10000);
   EXPECT_TRUE(store.match(at_ms(200)).empty());
   // But a different stream in range does.
-  store.add_mbr(mbr_entry(8, 0.30, 0.32, 10000));
+  add_box(store, 8, 0.30, 0.32, 10000);
   EXPECT_EQ(store.match(at_ms(300)).size(), 1u);
 }
 
@@ -76,13 +72,13 @@ TEST(IndexStore, SeparateQueriesTrackSeparateReportedSets) {
   IndexStore store;
   store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
   store.add_subscription(query(2, 0.3, 0.2), 0, at_ms(10000));
-  store.add_mbr(mbr_entry(7, 0.29, 0.31, 10000));
+  add_box(store, 7, 0.29, 0.31, 10000);
   EXPECT_EQ(store.match(at_ms(100)).size(), 2u);
 }
 
 TEST(IndexStore, ExpiredMbrsDropAndStopMatching) {
   IndexStore store;
-  store.add_mbr(mbr_entry(7, 0.3, 0.3, 5000));
+  add_box(store, 7, 0.3, 0.3, 5000);
   store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(100000));
   store.expire(at_ms(5000));  // expiry is inclusive
   EXPECT_EQ(store.mbr_count(), 0u);
@@ -100,7 +96,7 @@ TEST(IndexStore, ExpiredSubscriptionsDrop) {
 
 TEST(IndexStore, MatchSkipsExpiredEvenBeforeSweep) {
   IndexStore store;
-  store.add_mbr(mbr_entry(7, 0.3, 0.3, 1000));
+  add_box(store, 7, 0.3, 0.3, 1000);
   store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
   // No expire() call; match at t=2000 must still ignore the stale MBR.
   EXPECT_TRUE(store.match(at_ms(2000)).empty());
@@ -110,7 +106,7 @@ TEST(IndexStore, ResubscribeRefreshesLifespanKeepsReported) {
   IndexStore store;
   auto q = query(1, 0.3, 0.1);
   store.add_subscription(q, 5, at_ms(1000));
-  store.add_mbr(mbr_entry(7, 0.3, 0.3, 100000));
+  add_box(store, 7, 0.3, 0.3, 100000);
   EXPECT_EQ(store.match(at_ms(10)).size(), 1u);
   // Range re-replication of the same query: lifespan refreshes, the
   // reported set survives (stream 7 is not re-announced).
@@ -129,7 +125,7 @@ TEST(IndexStore, FindSubscriptionMissingReturnsNull) {
 
 TEST(IndexStore, BoundDistanceIsBoxDistance) {
   IndexStore store;
-  store.add_mbr(mbr_entry(7, 0.50, 0.60, 10000));
+  add_box(store, 7, 0.50, 0.60, 10000);
   store.add_subscription(query(1, 0.45, 0.1), 0, at_ms(10000));
   const auto matches = store.match(at_ms(100));
   ASSERT_EQ(matches.size(), 1u);
@@ -140,7 +136,7 @@ TEST(IndexStore, ManyMbrsManyQueries) {
   IndexStore store;
   for (int s = 0; s < 50; ++s) {
     const double x = s * 0.02 - 0.5;  // spread across [-0.5, 0.48]
-    store.add_mbr(mbr_entry(static_cast<StreamId>(s), x, x + 0.01, 10000));
+    add_box(store, static_cast<StreamId>(s), x, x + 0.01, 10000);
   }
   store.add_subscription(query(1, 0.0, 0.05), 0, at_ms(10000));
   const auto matches = store.match(at_ms(100));

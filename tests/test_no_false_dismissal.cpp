@@ -8,10 +8,12 @@
 // the query ball (with slack), then a continuous query with enough runtime
 // MUST report that stream. We shadow the feature pipeline outside the
 // system (same inputs -> same features, verified by the summarizer tests)
-// and assert the implication over many random seeds.
+// and assert the implication over many random seeds. Besides the random
+// queries, every seed plants one query whose ball is drawn around a batch
+// the stream emits later, so each seed carries at least one obligation.
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,14 +50,27 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   MiddlewareSystem system(ring, config());
   system.start();
 
+  constexpr std::size_t kSteps = 200;
+  const std::size_t beta = config().batching.batch_size;
   common::RngFactory rng_factory(seed);
-  std::vector<streams::RandomWalkGenerator> walks;
-  std::vector<streams::StreamSummarizer> shadows;  // our ground-truth mirror
+  // Our ground-truth mirror, computed up front: every value each walk
+  // posts, every feature vector its stream emits, and how many it has
+  // emitted once each step's value is in.
+  std::vector<std::vector<Sample>> values(kStreams);
   std::vector<std::vector<dsp::FeatureVector>> emitted(kStreams);
+  std::vector<std::vector<std::size_t>> emitted_by(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
     system.register_stream(static_cast<NodeIndex>(s % kNodes), 100 + s);
-    walks.emplace_back(rng_factory.make("walk", s));
-    shadows.emplace_back(config().features);
+    streams::RandomWalkGenerator walk(rng_factory.make("walk", s));
+    streams::StreamSummarizer shadow(config().features);
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      values[s].push_back(walk.next());
+      shadow.push(values[s].back());
+      if (const auto fv = shadow.features()) {
+        emitted[s].push_back(*fv);
+      }
+      emitted_by[s].push_back(emitted[s].size());
+    }
   }
 
   struct PostedQuery {
@@ -67,29 +82,53 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   std::vector<PostedQuery> queries;
   common::Pcg32 query_rng = rng_factory.make("queries");
 
-  constexpr int kSteps = 200;
-  for (int step = 0; step < kSteps; ++step) {
+  for (std::size_t step = 0; step < kSteps; ++step) {
     for (std::size_t s = 0; s < kStreams; ++s) {
-      const Sample value = walks[s].next();
       system.post_stream_value(static_cast<NodeIndex>(s % kNodes), 100 + s,
-                               value);
-      shadows[s].push(value);
-      if (const auto fv = shadows[s].features()) {
-        emitted[s].push_back(*fv);
-      }
+                               values[s][step]);
     }
     // Pose a few queries early, centered on live stream states so the
     // always-inside condition is sometimes satisfiable.
     if (step == 40 || step == 50) {
       const std::size_t target = query_rng.bounded(kStreams);
-      if (const auto center = shadows[target].features()) {
+      if (const std::size_t count = emitted_by[target][step]; count > 0) {
+        const dsp::FeatureVector& center = emitted[target][count - 1];
         const double radius = query_rng.uniform(0.3, 0.6);
         const QueryId id = system.subscribe_similarity(
-            static_cast<NodeIndex>(query_rng.bounded(kNodes)), *center,
-            radius, sim::Duration::seconds(600));
-        queries.push_back(
-            PostedQuery{id, *center, radius, emitted[target].size()});
+            static_cast<NodeIndex>(query_rng.bounded(kNodes)), center, radius,
+            sim::Duration::seconds(600));
+        queries.push_back(PostedQuery{id, center, radius, count});
       }
+    }
+    // The planted query: a ball drawn just around the first batch the
+    // target stream closes after the query is posted (center at the box
+    // midpoint, radius past the half-diagonal), so that batch is an
+    // in-ball obligation by construction.
+    if (step == 60) {
+      const std::size_t target = seed % kStreams;
+      const std::size_t posted = emitted_by[target][step];
+      const std::size_t first = (posted + beta - 1) / beta * beta;
+      ASSERT_LE(first + beta, emitted[target].size());
+      const dsp::Mbr box = dsp::bounding_box(
+          std::span<const dsp::FeatureVector>(emitted[target])
+              .subspan(first, beta));
+      std::vector<dsp::Complex> middle(box.dimensions() / 2);
+      double half_diagonal = 0.0;
+      for (std::size_t d = 0; d < box.dimensions(); ++d) {
+        const double half_side = (box.high()[d] - box.low()[d]) / 2.0;
+        half_diagonal += half_side * half_side;
+      }
+      for (std::size_t i = 0; i < middle.size(); ++i) {
+        middle[i] = dsp::Complex{(box.low()[2 * i] + box.high()[2 * i]) / 2.0,
+                                 (box.low()[2 * i + 1] + box.high()[2 * i + 1]) /
+                                     2.0};
+      }
+      const dsp::FeatureVector center(std::move(middle));
+      const double radius = std::sqrt(half_diagonal) / 0.99 + 0.01;
+      const QueryId id = system.subscribe_similarity(
+          static_cast<NodeIndex>(seed % kNodes), center, radius,
+          sim::Duration::seconds(600));
+      queries.push_back(PostedQuery{id, center, radius, posted});
     }
     sim.run_until(sim.now() + sim::Duration::millis(100));
   }
@@ -104,7 +143,6 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   // the query ball, that MBR was stored only on nodes whose arcs lie inside
   // the query's key range — nodes that all hold the subscription — so the
   // stream MUST eventually be reported.
-  const std::size_t beta = config().batching.batch_size;
   auto box_inside_ball = [](const dsp::Mbr& box,
                             const dsp::FeatureVector& center, double radius) {
     const auto reals = center.as_reals();
@@ -142,11 +180,9 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
       }
     }
   }
-  // A seed where no batch ever landed inside a query ball proves nothing;
-  // skip rather than pass vacuously (most seeds do produce obligations).
-  if (obligations == 0) {
-    GTEST_SKIP() << "no in-ball batch for seed " << seed;
-  }
+  // The planted query alone guarantees one; a seed without any would pass
+  // vacuously.
+  EXPECT_GT(obligations, 0) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NoFalseDismissal,

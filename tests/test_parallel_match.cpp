@@ -61,14 +61,11 @@ void run_equivalence_rounds(std::size_t threads, std::uint64_t seed) {
     const int new_mbrs = 20 + round * 5;
     const int new_subs = 6 + round * 2;
     for (int i = 0; i < new_mbrs; ++i) {
-      IndexStore::StoredMbr entry;
-      entry.stream = next_stream++;
-      entry.mbr = random_mbr(rng);
-      entry.expires =
-          now + sim::Duration::millis(500 + 500 * (i % 5));
-      IndexStore::StoredMbr copy = entry;
-      serial.add_mbr(std::move(entry));
-      pooled.add_mbr(std::move(copy));
+      const StreamId stream = next_stream++;
+      const dsp::Mbr mbr = random_mbr(rng);
+      const auto expires = now + sim::Duration::millis(500 + 500 * (i % 5));
+      serial.add_mbr(stream, /*source=*/0, mbr, /*batch_seq=*/0, now, expires);
+      pooled.add_mbr(stream, /*source=*/0, mbr, /*batch_seq=*/0, now, expires);
     }
     for (int i = 0; i < new_subs; ++i) {
       auto query = random_query(rng, next_query++);
