@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
+#include "core/replica_sync.hpp"
 #include "dsp/normalize.hpp"
 
 namespace sdsi::core {
@@ -1110,39 +1110,49 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
   //    single aggregated digest per direction (the paper's constant
   //    per-node neighbor-exchange component).
   if (!state.outgoing_reports.empty()) {
+    const Key self_id = routing_.node_id(index);
+    const common::IdSpace& space = routing_.id_space();
+    // Stale reports (the query is gone) stop circulating; each live one goes
+    // the shorter way round to its middle node. Counted first so each digest
+    // is sized once.
+    const auto live = [now](const MatchReport& report) {
+      return report.query_expires > now;
+    };
+    const auto goes_up = [&](const MatchReport& report) {
+      return space.distance(self_id, report.middle_key) <=
+             space.distance(report.middle_key, self_id);
+    };
+    std::size_t up_count = 0;
+    std::size_t down_count = 0;
+    for (const MatchReport& report : state.outgoing_reports) {
+      if (live(report)) {
+        ++(goes_up(report) ? up_count : down_count);
+      }
+    }
     std::vector<MatchReport> up;
     std::vector<MatchReport> down;
-    const Key self_id = routing_.node_id(index);
+    up.reserve(up_count);
+    down.reserve(down_count);
     for (MatchReport& report : state.outgoing_reports) {
-      if (report.query_expires <= now) {
-        continue;  // stale: the query is gone, stop circulating it
+      if (live(report)) {
+        (goes_up(report) ? up : down).push_back(std::move(report));
       }
-      const Key middle = report.middle_key;
-      const bool shorter_up = routing_.id_space().distance(self_id, middle) <=
-                              routing_.id_space().distance(middle, self_id);
-      (shorter_up ? up : down).push_back(std::move(report));
     }
     state.outgoing_reports.clear();
+    // A neighbor that died since the last stabilization round must not
+    // swallow the digest: detour around it via the successor list instead
+    // of dropping the reports on the floor.
     if (!up.empty()) {
-      Message msg;
-      msg.kind = MsgKind::kNeighborExchange;
-      msg.payload = std::make_shared<const NeighborDigestPayload>(
-          NeighborDigestPayload{std::move(up)});
-      // A neighbor that died since the last stabilization round must not
-      // swallow the digest: detour around it via the successor list instead
-      // of dropping the reports on the floor.
-      msg.reroute_on_dead = true;
-      routing_.send_direct(index, routing_.successor_index(index),
-                           std::move(msg));
+      send_detouring(index, routing_.successor_index(index),
+                     MsgKind::kNeighborExchange,
+                     std::make_shared<const NeighborDigestPayload>(
+                         NeighborDigestPayload{std::move(up)}));
     }
     if (!down.empty()) {
-      Message msg;
-      msg.kind = MsgKind::kNeighborExchange;
-      msg.payload = std::make_shared<const NeighborDigestPayload>(
-          NeighborDigestPayload{std::move(down)});
-      msg.reroute_on_dead = true;
-      routing_.send_direct(index, routing_.predecessor_index(index),
-                           std::move(msg));
+      send_detouring(index, routing_.predecessor_index(index),
+                     MsgKind::kNeighborExchange,
+                     std::make_shared<const NeighborDigestPayload>(
+                         NeighborDigestPayload{std::move(down)}));
     }
   }
 
@@ -1236,16 +1246,17 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
 
 // --- Replication & failover ---------------------------------------------------
 
-std::size_t MiddlewareSystem::mbr_entry_bytes(
-    const IndexStore::StoredMbr& entry) {
-  // Identity + expiry header, plus two doubles per MBR dimension.
-  return 40 + entry.mbr.dimensions() * 16;
-}
-
-std::size_t MiddlewareSystem::subscription_entry_bytes(
-    const IndexStore::Subscription& sub) {
-  // Query header, plus one complex coefficient per feature dimension.
-  return 48 + sub.query->features.size() * 16;
+std::size_t MiddlewareSystem::handoff_bytes(const ReplicaPutPayload& put) {
+  std::size_t bytes = 0;
+  for (const ReplicaMbrEntry& entry : put.mbrs) {
+    // Identity + expiry header, plus two doubles per MBR dimension.
+    bytes += 40 + entry.mbr.dimensions() * 16;
+  }
+  for (const ReplicaSubscriptionEntry& entry : put.subscriptions) {
+    // Query header, plus one complex coefficient per feature dimension.
+    bytes += 48 + entry.query->features.size() * 16;
+  }
+  return bytes;
 }
 
 void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
@@ -1264,132 +1275,84 @@ void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
   sink->record(record);
 }
 
-void MiddlewareSystem::mirror_mbr(NodeIndex at, const MbrPayload& entry) {
+std::size_t MiddlewareSystem::send_to_replica_set(NodeIndex at, MsgKind kind,
+                                                  const std::any& payload) {
   const std::vector<NodeIndex> replicas =
       routing_.successors(at, config_.replication_factor);
-  if (replicas.empty()) {
+  for (const NodeIndex replica : replicas) {
+    send_detouring(at, replica, kind, payload);
+  }
+  return replicas.size();
+}
+
+void MiddlewareSystem::mirror_put(NodeIndex at, ReplicaPutPayload put,
+                                  StreamId trace_stream,
+                                  std::uint64_t trace_seq) {
+  put.from = at;
+  const std::size_t puts = send_to_replica_set(
+      at, MsgKind::kReplicaPut,
+      std::make_shared<const ReplicaPutPayload>(std::move(put)));
+  if (puts == 0) {
     return;
   }
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{at,
-                        {ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                         entry.batch_seq, entry.expires}},
-                        {},
-                        false,
-                        false});
-  for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
-    if (metrics_.recording()) {
-      ++metrics_.robustness().replica_puts;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("replication.puts").add();
-    }
+  if (metrics_.recording()) {
+    metrics_.robustness().replica_puts += puts;
   }
-  emit_replication_trace(obs::TraceEventKind::kReplicate, at, entry.stream,
-                         entry.batch_seq);
+  if (metrics_.registry() != nullptr) {
+    metrics_.registry()->counter("replication.puts").add(
+        static_cast<double>(puts));
+  }
+  emit_replication_trace(obs::TraceEventKind::kReplicate, at, trace_stream,
+                         trace_seq);
+}
+
+void MiddlewareSystem::mirror_mbr(NodeIndex at, const MbrPayload& entry) {
+  ReplicaPutPayload put;
+  put.mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
+                                     entry.batch_seq, entry.expires});
+  mirror_put(at, std::move(put), entry.stream, entry.batch_seq);
 }
 
 void MiddlewareSystem::mirror_subscription(
     NodeIndex at, const IndexStore::Subscription& sub) {
-  const std::vector<NodeIndex> replicas =
-      routing_.successors(at, config_.replication_factor);
-  if (replicas.empty()) {
-    return;
-  }
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{
-          at,
-          {},
-          {ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires}},
-          false,
-          false});
-  for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
-    if (metrics_.recording()) {
-      ++metrics_.robustness().replica_puts;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("replication.puts").add();
-    }
-  }
-  emit_replication_trace(obs::TraceEventKind::kReplicate, at, 0,
-                         sub.query->id);
+  ReplicaPutPayload put;
+  put.subscriptions.push_back(
+      ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
+  mirror_put(at, std::move(put), 0, sub.query->id);
 }
 
 void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
                                           const AggregatorRecord& record,
                                           Key middle_key,
                                           const SimilarityMatch& match) {
-  const std::vector<NodeIndex> replicas =
-      routing_.successors(at, config_.replication_factor);
-  if (replicas.empty()) {
-    return;
-  }
-  const auto payload = std::make_shared<const AggregatorReplicaPayload>(
-      AggregatorReplicaPayload{query, record.client, middle_key,
-                               record.expires, at, {match}});
-  for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kAggregatorReplica;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
-  }
+  send_to_replica_set(at, MsgKind::kAggregatorReplica,
+                      std::make_shared<const AggregatorReplicaPayload>(
+                          AggregatorReplicaPayload{query, record.client,
+                                                   middle_key, record.expires,
+                                                   at, {match}}));
 }
 
 void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
   const auto payload = routing::payload_of<ReplicaPutPayload>(msg);
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  std::size_t added = 0;
-  StreamId first_stream = 0;
-  std::uint64_t first_seq = 0;
-  for (const ReplicaMbrEntry& entry : payload->mbrs) {
-    if (state.store.add_mbr(entry.stream, entry.source, entry.mbr,
-                            entry.batch_seq, now, entry.expires)) {
-      if (added == 0) {
-        first_stream = entry.stream;
-        first_seq = entry.batch_seq;
-      }
-      ++added;
-    }
-  }
-  for (const ReplicaSubscriptionEntry& entry : payload->subscriptions) {
-    if (entry.query == nullptr || entry.expires <= now) {
-      continue;
-    }
-    if (state.store.find_subscription(entry.query->id) == nullptr) {
-      ++added;
-    }
-    state.store.add_subscription(entry.query, entry.middle_key,
-                                 entry.expires);
-  }
-  if (added == 0) {
+  const replica_sync::Applied applied = replica_sync::apply(
+      *payload, state_of(at).store, routing_.simulator().now());
+  if (applied.added == 0) {
     return;  // everything deduplicated: redelivery is a no-op by design
   }
-  note_node_work(at, added);
+  note_node_work(at, applied.added);
   if (payload->repair) {
     if (metrics_.recording()) {
-      metrics_.robustness().replica_repairs += added;
+      metrics_.robustness().replica_repairs += applied.added;
     }
     if (metrics_.registry() != nullptr) {
       metrics_.registry()->counter("replication.repairs").add(
-          static_cast<double>(added));
+          static_cast<double>(applied.added));
     }
-    emit_replication_trace(obs::TraceEventKind::kRepair, at, first_stream,
-                           first_seq);
+    emit_replication_trace(obs::TraceEventKind::kRepair, at,
+                           applied.first_stream, applied.first_seq);
   } else if (payload->handoff) {
-    emit_replication_trace(obs::TraceEventKind::kHandoff, at, first_stream,
-                           first_seq);
+    emit_replication_trace(obs::TraceEventKind::kHandoff, at,
+                           applied.first_stream, applied.first_seq);
   }
 }
 
@@ -1402,52 +1365,18 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
   const sim::SimTime now = routing_.simulator().now();
   MiddlewareNode& state = state_of(at);
   state.store.expire(now);
-  const common::IdSpace& space = routing_.id_space();
-
-  std::vector<ReplicaMbrEntry> mbrs;
-  std::size_t bytes = 0;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!space.range_intersects_arc(mlo, mhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                   entry.batch_seq, entry.expires});
-    bytes += mbr_entry_bytes(entry);
-  }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    (void)id;
-    if (sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (!space.range_intersects_arc(qlo, qhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-    bytes += subscription_entry_bytes(sub);
-  }
-  // Canonical ascending-id order: payload contents must not depend on the
-  // store's (history-dependent) iteration order.
-  std::sort(subs.begin(), subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (mbrs.empty() && subs.empty()) {
+  ReplicaPutPayload put =
+      replica_sync::collect(state.store, strategy_->key_map(),
+                            routing_.id_space(), at, payload->lo, payload->hi,
+                            now);
+  const std::size_t entries = replica_sync::entries(put);
+  if (entries == 0) {
     return;
   }
-  const std::size_t entries = mbrs.size() + subs.size();
-  Message reply;
-  reply.kind = MsgKind::kReplicaPut;
-  reply.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(mbrs), std::move(subs), true, false});
-  reply.reroute_on_dead = true;
-  routing_.send_direct(at, payload->requester, std::move(reply));
+  const std::size_t bytes = handoff_bytes(put);
+  put.handoff = true;
+  send_detouring(at, payload->requester, MsgKind::kReplicaPut,
+                 std::make_shared<const ReplicaPutPayload>(std::move(put)));
   if (metrics_.recording()) {
     metrics_.robustness().handoff_entries += entries;
     metrics_.robustness().handoff_bytes += bytes;
@@ -1461,6 +1390,15 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
         .add(static_cast<double>(bytes));
   }
   emit_replication_trace(obs::TraceEventKind::kHandoff, at, 0, entries);
+}
+
+void MiddlewareSystem::send_detouring(NodeIndex at, NodeIndex to,
+                                      MsgKind kind, std::any payload) {
+  Message msg;
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  msg.reroute_on_dead = true;
+  routing_.send_direct(at, to, std::move(msg));
 }
 
 void MiddlewareSystem::schedule_anti_entropy(NodeIndex index,
@@ -1483,43 +1421,18 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
   const sim::SimTime now = routing_.simulator().now();
   MiddlewareNode& state = nodes_[index];
   state.store.expire(now);
-  const common::IdSpace& space = routing_.id_space();
-  const Key self_id = routing_.node_id(index);
-  const Key pred_id = routing_.node_id(routing_.predecessor_index(index));
 
   // Digest of the OWNED arc only: replicas answer for what they mirror, the
   // owner answers for what it owns. An empty digest is still sent — it is
   // exactly how a recovered-empty owner learns what it lost (the peers push
   // the gap back as repair).
-  std::vector<MbrBatchId> mbr_keys;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (space.range_intersects_arc(mlo, mhi, pred_id, self_id)) {
-      mbr_keys.push_back(MbrBatchId{entry.stream, entry.batch_seq});
-    }
-  }
-  std::vector<QueryId> query_ids;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    if (sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (space.range_intersects_arc(qlo, qhi, pred_id, self_id)) {
-      query_ids.push_back(id);
-    }
-  }
-  std::sort(query_ids.begin(), query_ids.end());
   const auto payload = std::make_shared<const AntiEntropyDigestPayload>(
-      AntiEntropyDigestPayload{index, pred_id, self_id, std::move(mbr_keys),
-                               std::move(query_ids)});
+      replica_sync::digest(state.store, strategy_->key_map(),
+                           routing_.id_space(), index,
+                           routing_.node_id(routing_.predecessor_index(index)),
+                           routing_.node_id(index), now));
   for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kAntiEntropyDigest;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(index, replica, std::move(msg));
+    send_detouring(index, replica, MsgKind::kAntiEntropyDigest, payload);
   }
 }
 
@@ -1532,79 +1445,24 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
   const sim::SimTime now = routing_.simulator().now();
   MiddlewareNode& state = state_of(at);
   state.store.expire(now);
+  replica_sync::DigestDiff diff =
+      replica_sync::diff(*payload, state.store, strategy_->key_map(),
+                         routing_.id_space(), at, now);
 
   // 1. What the owner holds that this replica misses: request backfill.
-  std::vector<MbrBatchId> want_mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    if (!state.store.contains_mbr(key.stream, key.batch_seq)) {
-      want_mbrs.push_back(key);
-    }
-  }
-  std::vector<QueryId> want_queries;
-  for (const QueryId id : payload->query_ids) {
-    if (state.store.find_subscription(id) == nullptr) {
-      want_queries.push_back(id);
-    }
-  }
-  if (!want_mbrs.empty() || !want_queries.empty()) {
-    Message req;
-    req.kind = MsgKind::kAntiEntropyRequest;
-    req.payload = std::make_shared<const AntiEntropyRequestPayload>(
-        AntiEntropyRequestPayload{at, std::move(want_mbrs),
-                                  std::move(want_queries)});
-    req.reroute_on_dead = true;
-    routing_.send_direct(at, payload->from, std::move(req));
+  if (replica_sync::entries(diff.request) > 0) {
+    send_detouring(at, payload->from, MsgKind::kAntiEntropyRequest,
+                   std::make_shared<const AntiEntropyRequestPayload>(
+                       std::move(diff.request)));
   }
 
   // 2. What this replica holds on the owner's arc that the digest lacks:
   //    push it back as repair (heals an owner that recovered empty).
-  std::set<std::pair<StreamId, std::uint64_t>> digest_mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    digest_mbrs.emplace(key.stream, key.batch_seq);
+  if (replica_sync::entries(diff.push) > 0) {
+    send_detouring(at, payload->from, MsgKind::kReplicaPut,
+                   std::make_shared<const ReplicaPutPayload>(
+                       std::move(diff.push)));
   }
-  std::unordered_set<QueryId> digest_queries(payload->query_ids.begin(),
-                                             payload->query_ids.end());
-  const common::IdSpace& space = routing_.id_space();
-  std::vector<ReplicaMbrEntry> push_mbrs;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    if (digest_mbrs.contains({entry.stream, entry.batch_seq})) {
-      continue;
-    }
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!space.range_intersects_arc(mlo, mhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    push_mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                        entry.batch_seq, entry.expires});
-  }
-  std::vector<ReplicaSubscriptionEntry> push_subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    if (digest_queries.contains(id) || sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (!space.range_intersects_arc(qlo, qhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    push_subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-  }
-  std::sort(push_subs.begin(), push_subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (push_mbrs.empty() && push_subs.empty()) {
-    return;
-  }
-  Message back;
-  back.kind = MsgKind::kReplicaPut;
-  back.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(push_mbrs), std::move(push_subs), false, true});
-  back.reroute_on_dead = true;
-  routing_.send_direct(at, payload->from, std::move(back));
 }
 
 void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
@@ -1613,34 +1471,12 @@ void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  std::vector<ReplicaMbrEntry> mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    const IndexStore::StoredMbr* entry =
-        state.store.find_mbr(key.stream, key.batch_seq);
-    if (entry != nullptr) {
-      mbrs.push_back(ReplicaMbrEntry{entry->stream, entry->source, entry->mbr,
-                                     entry->batch_seq, entry->expires});
-    }
+  ReplicaPutPayload put = replica_sync::lookup(
+      *payload, state_of(at).store, at, routing_.simulator().now());
+  if (replica_sync::entries(put) > 0) {
+    send_detouring(at, payload->requester, MsgKind::kReplicaPut,
+                 std::make_shared<const ReplicaPutPayload>(std::move(put)));
   }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const QueryId id : payload->query_ids) {
-    const IndexStore::Subscription* sub = state.store.find_subscription(id);
-    if (sub != nullptr && sub->expires > now) {
-      subs.push_back(
-          ReplicaSubscriptionEntry{sub->query, sub->middle_key, sub->expires});
-    }
-  }
-  if (mbrs.empty() && subs.empty()) {
-    return;
-  }
-  Message reply;
-  reply.kind = MsgKind::kReplicaPut;
-  reply.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(mbrs), std::move(subs), false, true});
-  reply.reroute_on_dead = true;
-  routing_.send_direct(at, payload->requester, std::move(reply));
 }
 
 void MiddlewareSystem::handle_aggregator_replica(NodeIndex at,
@@ -1716,103 +1552,13 @@ void MiddlewareSystem::handle_node_join(NodeIndex index) {
   if (succ == index) {
     return;  // alone on the ring: nothing to pull
   }
-  Message msg;
-  msg.kind = MsgKind::kHandoffRequest;
-  msg.payload = std::make_shared<const HandoffRequestPayload>(
-      HandoffRequestPayload{
-          index, routing_.node_id(routing_.predecessor_index(index)),
-          routing_.node_id(index)});
-  msg.reroute_on_dead = true;
-  routing_.send_direct(index, succ, std::move(msg));
+  send_detouring(index, succ, MsgKind::kHandoffRequest,
+                 std::make_shared<const HandoffRequestPayload>(
+                     HandoffRequestPayload{
+                         index,
+                         routing_.node_id(routing_.predecessor_index(index)),
+                         routing_.node_id(index)}));
   emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, 0);
-}
-
-void MiddlewareSystem::handle_node_leave(NodeIndex index) {
-  if (!replication_on() || index >= nodes_.size() ||
-      !routing_.is_alive(index)) {
-    return;
-  }
-  const NodeIndex succ = routing_.successor_index(index);
-  if (succ == index) {
-    return;
-  }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = nodes_[index];
-  state.store.expire(now);
-
-  std::vector<ReplicaMbrEntry> mbrs;
-  std::size_t bytes = 0;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                   entry.batch_seq, entry.expires});
-    bytes += mbr_entry_bytes(entry);
-  }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    (void)id;
-    if (sub.expires <= now) {
-      continue;
-    }
-    subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-    bytes += subscription_entry_bytes(sub);
-  }
-  std::sort(subs.begin(), subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (!mbrs.empty() || !subs.empty()) {
-    const std::size_t entries = mbrs.size() + subs.size();
-    Message push;
-    push.kind = MsgKind::kReplicaPut;
-    push.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-        index, std::move(mbrs), std::move(subs), true, false});
-    push.reroute_on_dead = true;
-    routing_.send_direct(index, succ, std::move(push));
-    if (metrics_.recording()) {
-      metrics_.robustness().handoff_entries += entries;
-      metrics_.robustness().handoff_bytes += bytes;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()
-          ->counter("replication.handoff_entries")
-          .add(static_cast<double>(entries));
-      metrics_.registry()
-          ->counter("replication.handoff_bytes")
-          .add(static_cast<double>(bytes));
-    }
-    emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, entries);
-  }
-
-  // Partial aggregations travel as aggregator mirrors: the successor holds
-  // them as replicas and promotes once the arc changes hands. Acked matches
-  // are already client-visible; pending + unacked in-flight cover the rest.
-  std::vector<QueryId> mirror_order;
-  mirror_order.reserve(state.aggregations.size());
-  for (const auto& [query, record] : state.aggregations) {
-    (void)record;
-    mirror_order.push_back(query);
-  }
-  std::sort(mirror_order.begin(), mirror_order.end());
-  for (const QueryId query : mirror_order) {
-    const AggregatorRecord& record = state.aggregations.at(query);
-    if (record.expires <= now) {
-      continue;
-    }
-    std::vector<SimilarityMatch> matches = record.pending;
-    for (const auto& [seq, push] : record.inflight) {
-      (void)seq;
-      matches.insert(matches.end(), push.matches.begin(), push.matches.end());
-    }
-    Message msg;
-    msg.kind = MsgKind::kAggregatorReplica;
-    msg.payload = std::make_shared<const AggregatorReplicaPayload>(
-        AggregatorReplicaPayload{query, record.client, record.middle_key,
-                                 record.expires, index, std::move(matches)});
-    msg.reroute_on_dead = true;
-    routing_.send_direct(index, succ, std::move(msg));
-  }
 }
 
 void MiddlewareSystem::tick_all_nodes() {
@@ -1917,11 +1663,7 @@ void MiddlewareSystem::divert_store(NodeIndex at, NodeIndex target,
                         {},
                         false,
                         false});
-  Message msg;
-  msg.kind = MsgKind::kReplicaPut;
-  msg.payload = payload;
-  msg.reroute_on_dead = true;
-  routing_.send_direct(at, target, std::move(msg));
+  send_detouring(at, target, MsgKind::kReplicaPut, payload);
   if (metrics_.recording()) {
     ++metrics_.robustness().split_diverted_stores;
   }
@@ -1960,11 +1702,7 @@ void MiddlewareSystem::mirror_subscriptions_to_delegates(NodeIndex node) {
   const auto payload = std::make_shared<const ReplicaPutPayload>(
       ReplicaPutPayload{node, {}, std::move(entries), false, false});
   for (const NodeIndex delegate : delegates) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(node, delegate, std::move(msg));
+    send_detouring(node, delegate, MsgKind::kReplicaPut, payload);
   }
 }
 
@@ -1978,11 +1716,7 @@ void MiddlewareSystem::forward_subscription_to_delegates(
           false,
           false});
   for (const NodeIndex delegate : nodes_[node].overload.split_delegates) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(node, delegate, std::move(msg));
+    send_detouring(node, delegate, MsgKind::kReplicaPut, payload);
   }
 }
 

@@ -290,11 +290,6 @@ class MiddlewareSystem {
   /// substrate has integrated the node (join/recover).
   void handle_node_join(NodeIndex index);
 
-  /// Graceful-leave handoff: pushes the node's stored entries and partial
-  /// aggregations to its successor before the substrate removes it. No-op
-  /// when replication is disabled. Call before the routing leave().
-  void handle_node_leave(NodeIndex index);
-
   /// Models the state loss of a crash: wipes everything the node held as
   /// soft state (stored MBRs and subscriptions, aggregations, buffered
   /// reports, location directory/cache, pending resolutions, publication
@@ -304,10 +299,6 @@ class MiddlewareSystem {
   void reset_node_soft_state(NodeIndex index);
 
   const MiddlewareNode& node(NodeIndex index) const {
-    SDSI_CHECK(index < nodes_.size());
-    return nodes_[index];
-  }
-  MiddlewareNode& node_mutable(NodeIndex index) {
     SDSI_CHECK(index < nodes_.size());
     return nodes_[index];
   }
@@ -334,16 +325,10 @@ class MiddlewareSystem {
 
   // --- Overload control ----------------------------------------------------
 
-  /// Whether the overload-control layer is configured.
-  bool overload_on() const noexcept { return config_.overload.has_value(); }
-
   /// Source-side backpressure level in [0, 1]: how full the node's deferral
   /// queue is. Generators consult this to stretch their emission gaps
   /// (slow down) instead of having the middleware drop their batches.
   double ingest_backpressure(NodeIndex node) const;
-
-  /// The hot-arc detector; meaningful only when overload_on().
-  const HotArcDetector& hot_arc_detector() const noexcept { return hot_arc_; }
 
   // --- Observation hooks (recall-oracle feeding) --------------------------
 
@@ -452,6 +437,16 @@ class MiddlewareSystem {
     return config_.replication_factor > 0;
   }
 
+  /// Sends `payload` as a `kind` message from `at` to each member of its
+  /// replica set (detouring past a dead member); returns how many.
+  std::size_t send_to_replica_set(NodeIndex at, MsgKind kind,
+                                  const std::any& payload);
+
+  /// Mirrors freshly stored entries to `at`'s replica set, with the puts
+  /// accounting and one replicate trace event keyed by the trace fields.
+  void mirror_put(NodeIndex at, ReplicaPutPayload put, StreamId trace_stream,
+                  std::uint64_t trace_seq);
+
   /// Mirrors one just-stored MBR batch to `at`'s replica set. Called by the
   /// key-range owner only (the node covering the range's hi end), so each
   /// batch is mirrored once per publication.
@@ -481,11 +476,14 @@ class MiddlewareSystem {
   void emit_replication_trace(obs::TraceEventKind event, NodeIndex node,
                               StreamId stream, std::uint64_t seq);
 
-  /// Approximate wire size of handoff payload entries (handoff_bytes
+  /// Approximate wire size of a handoff payload's entries (handoff_bytes
   /// accounting).
-  static std::size_t mbr_entry_bytes(const IndexStore::StoredMbr& entry);
-  static std::size_t subscription_entry_bytes(
-      const IndexStore::Subscription& sub);
+  static std::size_t handoff_bytes(const ReplicaPutPayload& put);
+
+  /// Point-to-point message from `at` to `to` that detours past a dead
+  /// destination to its successor-list replacement instead of dropping.
+  void send_detouring(NodeIndex at, NodeIndex to, MsgKind kind,
+                      std::any payload);
 
   // --- Overload-control helpers --------------------------------------------
 

@@ -1,9 +1,12 @@
 #include "net/node.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <utility>
 
 #include "common/check.hpp"
+#include "core/replica_sync.hpp"
 
 namespace sdsi::net {
 
@@ -70,60 +73,13 @@ void NetNode::publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
     // Track the publication until the landing node acks it; refresh keeps
     // re-multicasting it afterwards (range replicas have no ack of their
     // own — soft state owns them).
-    auto [it, inserted] = published_.try_emplace(
-        std::make_pair(payload->stream, payload->batch_seq),
-        PendingMbr{payload, lo, hi, false, clock_ms_, 0});
-    send_mbr_multicast(it->second, now);
-    send_probe_multicasts(routing::MsgKind::kMbrUpdate, payload, probes, now);
-    return;
+    published_.try_emplace(std::make_pair(payload->stream, payload->batch_seq),
+                           PendingMbr{payload, lo, hi, false, clock_ms_, 0});
   }
-
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kMbrUpdate;
-  msg.origin = self_;
-  msg.payload = payload;
-  msg.has_range = true;
-  msg.range_lo = lo;
-  msg.range_hi = hi;
-  msg.range_dir = routing::RangeDir::kUp;  // sequential multicast
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(lo, std::move(msg), now);
-  send_probe_multicasts(routing::MsgKind::kMbrUpdate, payload, probes, now);
-}
-
-void NetNode::send_probe_multicasts(
-    routing::MsgKind kind, std::any payload,
-    const std::vector<std::pair<Key, Key>>& probes, sim::SimTime now) {
-  // Extra probe arcs of a multi-probe strategy: same idempotent payload,
-  // fire-and-forget (dedup at the receivers; never acked or refreshed).
+  send_range(routing::MsgKind::kMbrUpdate, payload, lo, hi, now);
   for (const auto& [plo, phi] : probes) {
-    routing::Message msg;
-    msg.kind = kind;
-    msg.origin = self_;
-    msg.payload = payload;
-    msg.has_range = true;
-    msg.range_lo = plo;
-    msg.range_hi = phi;
-    msg.range_dir = routing::RangeDir::kUp;
-    msg.sent_at = now;
-    msg.trace_id = next_trace_id();
-    route_to_key(plo, std::move(msg), now);
+    send_range(routing::MsgKind::kMbrUpdate, payload, plo, phi, now);
   }
-}
-
-void NetNode::send_mbr_multicast(const PendingMbr& pending, sim::SimTime now) {
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kMbrUpdate;
-  msg.origin = self_;
-  msg.payload = pending.payload;
-  msg.has_range = true;
-  msg.range_lo = pending.lo;
-  msg.range_hi = pending.hi;
-  msg.range_dir = routing::RangeDir::kUp;
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(pending.lo, std::move(msg), now);
 }
 
 void NetNode::subscribe_similarity(core::QueryId id,
@@ -138,45 +94,31 @@ void NetNode::subscribe_similarity(core::QueryId id,
                                                 range_scratch_.end());
   const Key middle = ring_.space().midpoint(lo, hi);
   const auto payload = std::make_shared<const core::SimilarityQueryPayload>(
-      core::SimilarityQueryPayload{query, middle});
+      core::SimilarityQueryPayload{std::move(query), middle});
   results_.try_emplace(id);
   ++counters_.queries_posed;
   if (reliable()) {
-    own_queries_.push_back(OwnQuery{query, lo, hi, middle});
-    send_query_multicast(own_queries_.back(), now);
-    send_probe_multicasts(routing::MsgKind::kSimilarityQuery, payload, probes,
-                          now);
-    return;
+    own_queries_.push_back(OwnQuery{payload, lo, hi});
   }
+  send_range(routing::MsgKind::kSimilarityQuery, payload, lo, hi, now);
+  for (const auto& [plo, phi] : probes) {
+    send_range(routing::MsgKind::kSimilarityQuery, payload, plo, phi, now);
+  }
+}
 
+void NetNode::send_range(routing::MsgKind kind, std::any payload, Key lo,
+                         Key hi, sim::SimTime now) {
   routing::Message msg;
-  msg.kind = routing::MsgKind::kSimilarityQuery;
+  msg.kind = kind;
   msg.origin = self_;
-  msg.payload = payload;
+  msg.payload = std::move(payload);
   msg.has_range = true;
   msg.range_lo = lo;
   msg.range_hi = hi;
-  msg.range_dir = routing::RangeDir::kUp;
+  msg.range_dir = routing::RangeDir::kUp;  // sequential multicast
   msg.sent_at = now;
   msg.trace_id = next_trace_id();
   route_to_key(lo, std::move(msg), now);
-  send_probe_multicasts(routing::MsgKind::kSimilarityQuery, payload, probes,
-                        now);
-}
-
-void NetNode::send_query_multicast(const OwnQuery& own, sim::SimTime now) {
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kSimilarityQuery;
-  msg.origin = self_;
-  msg.payload = std::make_shared<const core::SimilarityQueryPayload>(
-      core::SimilarityQueryPayload{own.query, own.middle});
-  msg.has_range = true;
-  msg.range_lo = own.lo;
-  msg.range_hi = own.hi;
-  msg.range_dir = routing::RangeDir::kUp;
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(own.lo, std::move(msg), now);
 }
 
 void NetNode::route_to_key(Key key, routing::Message msg, sim::SimTime now) {
@@ -310,29 +252,10 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
     return;  // duplicate redelivery: already mirrored the first time
   }
   core::ReplicaPutPayload put;
-  put.from = self_;
   put.mbrs.push_back({payload->stream, payload->source, payload->mbr,
                       payload->batch_seq, payload->expires});
-  const auto shared =
-      std::make_shared<const core::ReplicaPutPayload>(std::move(put));
-  std::vector<NodeIndex> replicas;
-  NodeIndex cursor = self_;
-  while (replicas.size() < config_.reliability.replication) {
-    cursor = next_live_successor(cursor);
-    if (cursor == kInvalidNode ||
-        std::find(replicas.begin(), replicas.end(), cursor) !=
-            replicas.end()) {
-      break;  // ring exhausted or wrapped
-    }
-    replicas.push_back(cursor);
-  }
-  for (const NodeIndex replica : replicas) {
-    if (replica == payload->source) {
-      continue;  // the source holds its own copy already
-    }
-    send_direct(replica, routing::MsgKind::kReplicaPut, shared, now);
-    ++counters_.replica_puts_sent;
-  }
+  // The source holds its own copy already.
+  send_to_replicas(std::move(put), payload->source, now);
 }
 
 void NetNode::handle_similarity_query(const routing::Message& msg,
@@ -349,24 +272,29 @@ void NetNode::handle_similarity_query(const routing::Message& msg,
   // Landing node: mirror the fresh subscription alongside the MBR replicas
   // so a crash cannot silently unsubscribe the client.
   core::ReplicaPutPayload put;
-  put.from = self_;
   put.subscriptions.push_back({payload->query, payload->middle_key,
                                query.issued_at + query.lifespan});
+  send_to_replicas(std::move(put), query.client, now);
+}
+
+void NetNode::send_to_replicas(core::ReplicaPutPayload put, NodeIndex holder,
+                               sim::SimTime now) {
+  put.from = self_;
   const auto shared =
       std::make_shared<const core::ReplicaPutPayload>(std::move(put));
   std::vector<NodeIndex> replicas;
   NodeIndex cursor = self_;
   while (replicas.size() < config_.reliability.replication) {
-    cursor = next_live_successor(cursor);
+    cursor = next_live(cursor, routing::RangeDir::kUp);
     if (cursor == kInvalidNode ||
         std::find(replicas.begin(), replicas.end(), cursor) !=
             replicas.end()) {
-      break;
+      break;  // ring exhausted or wrapped
     }
     replicas.push_back(cursor);
   }
   for (const NodeIndex replica : replicas) {
-    if (replica == query.client) {
+    if (replica == holder) {
       continue;
     }
     send_direct(replica, routing::MsgKind::kReplicaPut, shared, now);
@@ -426,179 +354,92 @@ void NetNode::handle_response_ack(const routing::Message& msg) {
 void NetNode::handle_replica_put(const routing::Message& msg,
                                  sim::SimTime now) {
   const auto payload = routing::payload_of<core::ReplicaPutPayload>(msg);
-  for (const core::ReplicaMbrEntry& entry : payload->mbrs) {
-    if (store_.add_mbr(entry.stream, entry.source, entry.mbr,
-                       entry.batch_seq, now, entry.expires)) {
-      ++counters_.replica_entries_stored;
-    }
-  }
-  for (const core::ReplicaSubscriptionEntry& entry : payload->subscriptions) {
-    if (entry.query != nullptr) {
-      store_.add_subscription(entry.query, entry.middle_key, entry.expires);
-      ++counters_.replica_entries_stored;
-    }
-  }
+  counters_.replica_entries_stored +=
+      core::replica_sync::apply(*payload, store_, now).added;
 }
 
 void NetNode::handle_handoff_request(const routing::Message& msg,
                                      sim::SimTime now) {
   const auto payload = routing::payload_of<core::HandoffRequestPayload>(msg);
-  std::optional<core::ReplicaPutPayload> put =
-      collect_arc_entries(payload->lo, payload->hi);
-  if (!put.has_value()) {
-    return;
-  }
-  put->handoff = true;
-  counters_.handoff_entries_sent += put->mbrs.size() + put->subscriptions.size();
-  send_direct(payload->requester, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(
-                  std::move(*put)),
-              now);
+  core::ReplicaPutPayload put = core::replica_sync::collect(
+      store_, strategy_->key_map(), ring_.space(), self_, payload->lo,
+      payload->hi, now);
+  put.handoff = true;
+  send_replica_put(payload->requester, std::move(put),
+                   counters_.handoff_entries_sent, now);
 }
 
 void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
                                          sim::SimTime now) {
   const auto payload = routing::payload_of<core::AntiEntropyDigestPayload>(msg);
+  core::replica_sync::DigestDiff diff = core::replica_sync::diff(
+      *payload, store_, strategy_->key_map(), ring_.space(), self_, now);
   // Pull direction: request every digest entry this store is missing.
-  core::AntiEntropyRequestPayload request;
-  request.requester = self_;
-  for (const core::MbrBatchId& id : payload->mbr_keys) {
-    if (!store_.contains_mbr(id.stream, id.batch_seq)) {
-      request.mbr_keys.push_back(id);
-    }
-  }
-  for (const core::QueryId id : payload->query_ids) {
-    if (store_.find_subscription(id) == nullptr) {
-      request.query_ids.push_back(id);
-    }
-  }
-  if (!request.mbr_keys.empty() || !request.query_ids.empty()) {
+  if (core::replica_sync::entries(diff.request) > 0) {
     ++counters_.anti_entropy_requests;
     send_direct(payload->from, routing::MsgKind::kAntiEntropyRequest,
                 std::make_shared<const core::AntiEntropyRequestPayload>(
-                    std::move(request)),
+                    std::move(diff.request)),
                 now);
   }
   // Push direction: back-fill arc entries the digest's sender is missing.
-  std::optional<core::ReplicaPutPayload> put =
-      collect_arc_entries(payload->lo, payload->hi);
-  if (!put.has_value()) {
-    return;
-  }
-  core::ReplicaPutPayload missing;
-  missing.from = self_;
-  missing.repair = true;
-  for (core::ReplicaMbrEntry& entry : put->mbrs) {
-    const bool listed = std::any_of(
-        payload->mbr_keys.begin(), payload->mbr_keys.end(),
-        [&](const core::MbrBatchId& id) {
-          return id.stream == entry.stream && id.batch_seq == entry.batch_seq;
-        });
-    if (!listed) {
-      missing.mbrs.push_back(std::move(entry));
-    }
-  }
-  for (core::ReplicaSubscriptionEntry& entry : put->subscriptions) {
-    const core::QueryId id = entry.query->id;
-    const bool listed = std::find(payload->query_ids.begin(),
-                                  payload->query_ids.end(),
-                                  id) != payload->query_ids.end();
-    if (!listed) {
-      missing.subscriptions.push_back(std::move(entry));
-    }
-  }
-  if (missing.mbrs.empty() && missing.subscriptions.empty()) {
-    return;
-  }
-  counters_.repair_entries_sent +=
-      missing.mbrs.size() + missing.subscriptions.size();
-  send_direct(payload->from, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(
-                  std::move(missing)),
-              now);
+  send_replica_put(payload->from, std::move(diff.push),
+                   counters_.repair_entries_sent, now);
 }
 
 void NetNode::handle_anti_entropy_request(const routing::Message& msg,
                                           sim::SimTime now) {
   const auto payload =
       routing::payload_of<core::AntiEntropyRequestPayload>(msg);
-  core::ReplicaPutPayload put;
-  put.from = self_;
-  put.repair = true;
-  for (const core::MbrBatchId& id : payload->mbr_keys) {
-    if (const core::IndexStore::StoredMbr* entry =
-            store_.find_mbr(id.stream, id.batch_seq)) {
-      put.mbrs.push_back({entry->stream, entry->source, entry->mbr,
-                          entry->batch_seq, entry->expires});
-    }
-  }
-  for (const core::QueryId id : payload->query_ids) {
-    if (const core::IndexStore::Subscription* sub =
-            store_.find_subscription(id)) {
-      put.subscriptions.push_back({sub->query, sub->middle_key, sub->expires});
-    }
-  }
-  if (put.mbrs.empty() && put.subscriptions.empty()) {
+  send_replica_put(payload->requester,
+                   core::replica_sync::lookup(*payload, store_, self_, now),
+                   counters_.repair_entries_sent, now);
+}
+
+void NetNode::send_replica_put(NodeIndex peer, core::ReplicaPutPayload put,
+                               std::uint64_t& entries_sent, sim::SimTime now) {
+  const std::size_t entries = core::replica_sync::entries(put);
+  if (entries == 0) {
     return;
   }
-  counters_.repair_entries_sent += put.mbrs.size() + put.subscriptions.size();
-  send_direct(payload->requester, routing::MsgKind::kReplicaPut,
+  entries_sent += entries;
+  send_direct(peer, routing::MsgKind::kReplicaPut,
               std::make_shared<const core::ReplicaPutPayload>(std::move(put)),
               now);
 }
 
 void NetNode::forward_range_copies(const routing::Message& msg) {
-  const Key self_id = ring_.id(self_);
-  const Key pred_id = ring_.id(ring_.predecessor_index(self_));
-  const common::IdSpace& space = ring_.space();
-  const bool covers_lo = space.in_half_open(msg.range_lo, pred_id, self_id);
-  const bool covers_hi = space.in_half_open(msg.range_hi, pred_id, self_id);
+  const routing::RangeSteps steps = routing::range_steps(
+      ring_.space(), msg, ring_.id(ring_.predecessor_index(self_)),
+      ring_.id(self_));
+  if (steps.up) {
+    forward_range_copy(msg, routing::RangeDir::kUp);
+  }
+  if (steps.down) {
+    forward_range_copy(msg, routing::RangeDir::kDown);
+  }
+}
 
-  const bool go_up = (msg.range_dir == routing::RangeDir::kUp ||
-                      msg.range_dir == routing::RangeDir::kBoth) &&
-                     !covers_hi;
-  const bool go_down = (msg.range_dir == routing::RangeDir::kDown ||
-                        msg.range_dir == routing::RangeDir::kBoth) &&
-                       !covers_lo;
-  if (go_up) {
-    routing::Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = routing::RangeDir::kUp;
-    copy.origin = self_;
-    copy.hops = 1;
-    NodeIndex next = ring_.successor_index(self_);
-    if (reliable()) {
-      while (next != self_ && !detector_.usable(next)) {
-        next = ring_.successor_index(next);
-        ++counters_.detours;
-      }
-    }
-    if (next != self_) {
-      copy.target_key = ring_.id(next);
-      if (!transport_.send(next, copy)) {
-        ++counters_.send_failures;
-      }
+void NetNode::forward_range_copy(const routing::Message& msg,
+                                 routing::RangeDir dir) {
+  NodeIndex next = neighbor(self_, dir);
+  if (reliable()) {
+    while (next != self_ && !detector_.usable(next)) {
+      next = neighbor(next, dir);
+      ++counters_.detours;
     }
   }
-  if (go_down) {
-    routing::Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = routing::RangeDir::kDown;
-    copy.origin = self_;
-    copy.hops = 1;
-    NodeIndex prev = ring_.predecessor_index(self_);
-    if (reliable()) {
-      while (prev != self_ && !detector_.usable(prev)) {
-        prev = ring_.predecessor_index(prev);
-        ++counters_.detours;
-      }
-    }
-    if (prev != self_) {
-      copy.target_key = ring_.id(prev);
-      if (!transport_.send(prev, copy)) {
-        ++counters_.send_failures;
-      }
-    }
+  if (next == self_) {
+    return;
+  }
+  routing::Message copy = msg;
+  copy.range_internal = true;
+  copy.range_dir = dir;
+  copy.origin = self_;
+  copy.hops = 1;
+  copy.target_key = ring_.id(next);
+  if (!transport_.send(next, copy)) {
+    ++counters_.send_failures;
   }
 }
 
@@ -624,13 +465,14 @@ void NetNode::tick(sim::SimTime now) {
     if (client >= ring_.size()) {
       continue;  // corrupted subscription frame carried a garbage client
     }
+    // Acked push: the client confirms receipt, otherwise the push is
+    // retransmitted from reliability_tick until retries run out.
+    const bool acked = reliable() && client != self_;
     core::ResponsePayload response;
     response.query = query_id;
     response.client = client;
     response.matches = std::move(matches);
-    if (reliable() && client != self_) {
-      // Acked push: the client confirms receipt, otherwise the push is
-      // retransmitted from reliability_tick until retries run out.
+    if (acked) {
       response.aggregator = self_;
       response.push_seq = ++push_seq_;
     }
@@ -638,42 +480,14 @@ void NetNode::tick(sim::SimTime now) {
     const auto payload =
         std::make_shared<const core::ResponsePayload>(std::move(response));
     ++counters_.responses_sent;
-    if (client == self_) {
-      routing::Message msg;
-      msg.kind = routing::MsgKind::kResponse;
-      msg.origin = self_;
-      msg.target_key = ring_.id(client);
-      msg.sent_at = now;
-      msg.trace_id = next_trace_id();
-      msg.payload = payload;
-      handle_response(msg, now);
-      continue;
-    }
-    if (reliable()) {
-      const PendingResponse pending{payload, client, clock_ms_, 0};
+    if (acked) {
       unacked_responses_.emplace(
-          std::make_pair(payload->query, payload->push_seq), pending);
-      send_response_push(pending, now);
-      continue;
+          std::make_pair(payload->query, payload->push_seq),
+          PendingResponse{payload, client, clock_ms_, 0});
     }
-    routing::Message msg;
-    msg.kind = routing::MsgKind::kResponse;
-    msg.origin = self_;
-    msg.target_key = ring_.id(client);
-    msg.sent_at = now;
-    msg.trace_id = next_trace_id();
-    msg.hops = 1;
-    msg.payload = payload;
-    if (!transport_.send(client, msg)) {
-      ++counters_.send_failures;
-    }
+    // A local client is answered in place (send_direct loops back).
+    send_direct(client, routing::MsgKind::kResponse, payload, now);
   }
-}
-
-void NetNode::send_response_push(const PendingResponse& pending,
-                                 sim::SimTime now) {
-  send_direct(pending.client, routing::MsgKind::kResponse, pending.payload,
-              now);
 }
 
 void NetNode::heartbeat_tick(std::int64_t now_ms, sim::SimTime now) {
@@ -714,7 +528,8 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       ++pending.retries;
       pending.last_sent_ms = now_ms;
       ++counters_.mbr_retransmits;
-      send_mbr_multicast(pending, now);
+      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
+                 pending.hi, now);
     }
   }
 
@@ -726,14 +541,17 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
     ++counters_.refresh_rounds;
     for (auto& [key, pending] : published_) {
       ++counters_.mbr_refreshes;
-      send_mbr_multicast(pending, now);
+      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
+                 pending.hi, now);
     }
     for (const OwnQuery& own : own_queries_) {
-      if (own.query->issued_at + own.query->lifespan <= now) {
+      const core::SimilarityQuery& query = *own.payload->query;
+      if (query.issued_at + query.lifespan <= now) {
         continue;  // expired: let it die
       }
       ++counters_.query_refreshes;
-      send_query_multicast(own, now);
+      send_range(routing::MsgKind::kSimilarityQuery, own.payload, own.lo,
+                 own.hi, now);
     }
   }
 
@@ -749,7 +567,8 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       ++pending.retries;
       pending.last_sent_ms = now_ms;
       ++counters_.response_retransmits;
-      send_response_push(pending, now);
+      send_direct(pending.client, routing::MsgKind::kResponse,
+                  pending.payload, now);
     }
     ++it;
   }
@@ -759,16 +578,16 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   if (now_ms - last_anti_entropy_ms_ >= rel.anti_entropy_period_ms) {
     last_anti_entropy_ms_ = now_ms;
     ++counters_.anti_entropy_rounds;
-    const NodeIndex up = next_live_successor(self_);
-    if (up != kInvalidNode) {
-      send_digest_to(up, now);
-    }
-    const NodeIndex down = next_live_predecessor(self_);
-    if (down != kInvalidNode && down != up) {
-      send_digest_to(down, now);
+    const std::array<NodeIndex, 2> neighbors = live_neighbors();
+    for (const NodeIndex peer : neighbors) {
+      if (peer != kInvalidNode) {
+        send_digest_to(peer, now);
+      }
     }
     for (const NodeIndex peer : pending_repair_) {
-      if (peer != up && peer != down && detector_.usable(peer)) {
+      if (std::find(neighbors.begin(), neighbors.end(), peer) ==
+              neighbors.end() &&
+          detector_.usable(peer)) {
         send_digest_to(peer, now);
       }
     }
@@ -784,15 +603,11 @@ void NetNode::request_handoff(sim::SimTime now) {
       core::HandoffRequestPayload{self_,
                                   ring_.id(ring_.predecessor_index(self_)),
                                   ring_.id(self_)});
-  const NodeIndex up = next_live_successor(self_);
-  if (up != kInvalidNode) {
-    ++counters_.handoff_requests_sent;
-    send_direct(up, routing::MsgKind::kHandoffRequest, payload, now);
-  }
-  const NodeIndex down = next_live_predecessor(self_);
-  if (down != kInvalidNode && down != up) {
-    ++counters_.handoff_requests_sent;
-    send_direct(down, routing::MsgKind::kHandoffRequest, payload, now);
+  for (const NodeIndex peer : live_neighbors()) {
+    if (peer != kInvalidNode) {
+      ++counters_.handoff_requests_sent;
+      send_direct(peer, routing::MsgKind::kHandoffRequest, payload, now);
+    }
   }
 }
 
@@ -800,67 +615,24 @@ void NetNode::send_digest_to(NodeIndex peer, sim::SimTime now) {
   // Digest the entries relevant to `peer`'s owned arc (its static ring
   // predecessor to itself; a dead predecessor only widens what the peer is
   // offered, never narrows it).
-  const Key lo = ring_.id(ring_.predecessor_index(peer));
-  const Key hi = ring_.id(peer);
-  core::AntiEntropyDigestPayload digest;
-  digest.from = self_;
-  digest.lo = lo;
-  digest.hi = hi;
-  for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
-    const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
-      digest.mbr_keys.push_back({entry.stream, entry.batch_seq});
-    }
-  }
-  for (const auto& [id, sub] : store_.subscriptions()) {
-    if (sub.query == nullptr) {
-      continue;
-    }
-    const auto [rlo, rhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
-      digest.query_ids.push_back(id);
-    }
-  }
   send_direct(peer, routing::MsgKind::kAntiEntropyDigest,
               std::make_shared<const core::AntiEntropyDigestPayload>(
-                  std::move(digest)),
+                  core::replica_sync::digest(
+                      store_, strategy_->key_map(), ring_.space(), self_,
+                      ring_.id(ring_.predecessor_index(peer)), ring_.id(peer),
+                      now)),
               now);
 }
 
-std::optional<core::ReplicaPutPayload> NetNode::collect_arc_entries(Key lo,
-                                                                    Key hi) {
-  core::ReplicaPutPayload put;
-  put.from = self_;
-  for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
-    const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
-      put.mbrs.push_back({entry.stream, entry.source, entry.mbr,
-                          entry.batch_seq, entry.expires});
-    }
-  }
-  for (const auto& [id, sub] : store_.subscriptions()) {
-    if (sub.query == nullptr) {
-      continue;
-    }
-    const auto [rlo, rhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (ring_.space().range_intersects_arc(rlo, rhi, lo, hi)) {
-      put.subscriptions.push_back({sub.query, sub.middle_key, sub.expires});
-    }
-  }
-  if (put.mbrs.empty() && put.subscriptions.empty()) {
-    return std::nullopt;
-  }
-  return put;
+NodeIndex NetNode::neighbor(NodeIndex n, routing::RangeDir dir) const {
+  return dir == routing::RangeDir::kUp ? ring_.successor_index(n)
+                                       : ring_.predecessor_index(n);
 }
 
-NodeIndex NetNode::next_live_successor(NodeIndex from) {
+NodeIndex NetNode::next_live(NodeIndex from, routing::RangeDir dir) const {
   NodeIndex n = from;
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    n = ring_.successor_index(n);
+    n = neighbor(n, dir);
     if (n != self_ && detector_.usable(n)) {
       return n;
     }
@@ -868,15 +640,10 @@ NodeIndex NetNode::next_live_successor(NodeIndex from) {
   return kInvalidNode;
 }
 
-NodeIndex NetNode::next_live_predecessor(NodeIndex from) {
-  NodeIndex n = from;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    n = ring_.predecessor_index(n);
-    if (n != self_ && detector_.usable(n)) {
-      return n;
-    }
-  }
-  return kInvalidNode;
+std::array<NodeIndex, 2> NetNode::live_neighbors() const {
+  const NodeIndex up = next_live(self_, routing::RangeDir::kUp);
+  const NodeIndex down = next_live(self_, routing::RangeDir::kDown);
+  return {up, down == up ? kInvalidNode : down};
 }
 
 }  // namespace sdsi::net

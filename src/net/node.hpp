@@ -4,8 +4,10 @@
 // One NetNode is one ring member: it summarizes its local streams
 // (StreamSummarizer -> MbrBatcher), routes closed MBRs and similarity
 // subscriptions over the content ring (Eq. 6 ranges, sequential range
-// multicast replicated exactly from RoutingSystem::forward_range_copies),
-// stores and matches what lands on it (IndexStore), and reports matches.
+// multicast forwarded by routing::range_steps, the rule the sim's
+// RoutingSystem uses), stores and matches what lands on it (IndexStore), and
+// reports matches. The store side of replication (mirror puts, handoff,
+// anti-entropy) is core/replica_sync, shared with the sim middleware.
 //
 // Scope (documented divergence from the sim middleware, see
 // docs/ARCHITECTURE.md "Transport layer"): a detecting node responds to the
@@ -23,10 +25,10 @@
 #pragma once
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -198,10 +200,9 @@ class NetNode {
 
   /// One locally-posed query, kept for the periodic re-subscription sweep.
   struct OwnQuery {
-    std::shared_ptr<const core::SimilarityQuery> query;
+    std::shared_ptr<const core::SimilarityQueryPayload> payload;
     Key lo = 0;
     Key hi = 0;
-    Key middle = 0;
   };
 
   bool reliable() const noexcept { return config_.reliability.enabled; }
@@ -222,37 +223,46 @@ class NetNode {
   void handle_anti_entropy_request(const routing::Message& msg,
                                    sim::SimTime now);
 
-  /// Re-emits the range multicast for one tracked publication (retransmit
-  /// and refresh share it; receiver-side dedup keeps it idempotent).
-  void send_mbr_multicast(const PendingMbr& pending, sim::SimTime now);
-  void send_query_multicast(const OwnQuery& own, sim::SimTime now);
-  void send_response_push(const PendingResponse& pending, sim::SimTime now);
+  /// Sequential range multicast of `payload` over [lo, hi]: routed to
+  /// successor(lo), then walked up the ring. First sends, probes,
+  /// retransmits and refreshes all go through it (receiver-side dedup keeps
+  /// repeats idempotent).
+  void send_range(routing::MsgKind kind, std::any payload, Key lo, Key hi,
+                  sim::SimTime now);
+  /// Mirrors a freshly landed entry (`put.from` is filled in) to the live
+  /// successor set, skipping `holder`, which keeps its own copy (the MBR's
+  /// source or the query's client).
+  void send_to_replicas(core::ReplicaPutPayload put, NodeIndex holder,
+                        sim::SimTime now);
   /// Point-to-point frame to a specific ring member (no range machinery).
   void send_direct(NodeIndex peer, routing::MsgKind kind, std::any payload,
                    sim::SimTime now);
   /// Sends an anti-entropy digest of this store's entries that intersect
   /// `peer`'s owned arc.
   void send_digest_to(NodeIndex peer, sim::SimTime now);
-  /// Builds a ReplicaPutPayload of the stored entries whose key range
-  /// intersects the clockwise arc (lo, hi]; empty optional when none do.
-  std::optional<core::ReplicaPutPayload> collect_arc_entries(Key lo, Key hi);
-  /// First non-dead successor after `from` (wrapping, never self unless the
-  /// whole ring is dead); `steps` caps the walk.
-  NodeIndex next_live_successor(NodeIndex from);
-  NodeIndex next_live_predecessor(NodeIndex from);
-  /// Replica of RoutingSystem::forward_range_copies over the transport:
-  /// walk the neighbor in every direction whose range endpoint this node
-  /// does not cover.
+  /// Replica-sync reply: sends `put` to `peer` unless it is empty, adding
+  /// its entry count to `entries_sent`.
+  void send_replica_put(NodeIndex peer, core::ReplicaPutPayload put,
+                        std::uint64_t& entries_sent, sim::SimTime now);
+  /// The ring neighbor of `n` toward `dir` (kUp: successor, else
+  /// predecessor).
+  NodeIndex neighbor(NodeIndex n, routing::RangeDir dir) const;
+  /// First non-dead, non-self node after `from` toward `dir` (wrapping);
+  /// kInvalidNode when the rest of the ring is dead.
+  NodeIndex next_live(NodeIndex from, routing::RangeDir dir) const;
+  /// {next live successor, next live predecessor}; the second is
+  /// kInvalidNode when it is the same node as the first.
+  std::array<NodeIndex, 2> live_neighbors() const;
+  /// RoutingSystem::forward_range_copies over the transport: one copy in
+  /// every direction routing::range_steps names, to the nearest usable
+  /// neighbor that way.
   void forward_range_copies(const routing::Message& msg);
+  void forward_range_copy(const routing::Message& msg, routing::RangeDir dir);
   /// Routes `msg` to successor(key): local delivery loops back through
   /// deliver() without touching the transport, exactly like the sim's
   /// zero-latency local path.
   void route_to_key(Key key, routing::Message msg, sim::SimTime now);
   std::uint64_t next_trace_id() noexcept;
-  /// Fire-and-forget multicasts over a multi-probe strategy's extra arcs.
-  void send_probe_multicasts(routing::MsgKind kind, std::any payload,
-                             const std::vector<std::pair<Key, Key>>& probes,
-                             sim::SimTime now);
 
   const NetRing& ring_;
   NodeIndex self_;

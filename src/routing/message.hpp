@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "common/check.hpp"
+#include "common/ring_math.hpp"
 #include "common/types.hpp"
 #include "sim/time.hpp"
 
@@ -136,6 +137,28 @@ struct Message {
   /// per-kind payload codecs of src/net/wire.hpp.
   std::any payload;
 };
+
+/// The ways a range-multicast copy delivered at a node keeps walking.
+struct RangeSteps {
+  bool up = false;    // on to the successor
+  bool down = false;  // on to the predecessor
+};
+
+/// The range-forwarding rule of Sec IV-C / VI-B, shared by the simulator's
+/// RoutingSystem and the socket NetNode. The node at `self` covers the keys
+/// in (pred, self]; it is the last hop in a direction exactly when it covers
+/// that direction's range endpoint.
+constexpr RangeSteps range_steps(const common::IdSpace& space,
+                                 const Message& msg, Key pred,
+                                 Key self) noexcept {
+  const bool covers_lo = space.in_half_open(msg.range_lo, pred, self);
+  const bool covers_hi = space.in_half_open(msg.range_hi, pred, self);
+  return RangeSteps{
+      (msg.range_dir == RangeDir::kUp || msg.range_dir == RangeDir::kBoth) &&
+          !covers_hi,
+      (msg.range_dir == RangeDir::kDown || msg.range_dir == RangeDir::kBoth) &&
+          !covers_lo};
+}
 
 /// The typed payload a message carries: middleware payloads ride in
 /// `Message::payload` as a non-null `std::shared_ptr<const T>`. Aborts if the

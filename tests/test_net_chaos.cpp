@@ -12,8 +12,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "core/strategy.hpp"
 #include "fault/model.hpp"
 #include "net/equivalence.hpp"
 #include "net/faulty_transport.hpp"
@@ -39,7 +42,6 @@ struct ChaosRig {
              routing::hash_node_ids(workload.nodes, space,
                                     workload.ring_salt)),
         fabric(simulator, sim::Duration::millis(1)) {
-    NetNodeConfig node_config;
     node_config.features = config.features;
     node_config.mbr_lifespan = kLifespan;
     node_config.reliability = reliability;
@@ -52,14 +54,22 @@ struct ChaosRig {
       faults.back()->set_clock([this] { return wall_ms; });
     }
     for (NodeIndex i = 0; i < config.nodes; ++i) {
-      nodes.push_back(
-          std::make_unique<NetNode>(ring, i, *faults[i], node_config));
-      NetNode* node = nodes.back().get();
-      sim::Simulator* sim_ptr = &simulator;
-      sims[i]->set_deliver([node, sim_ptr](routing::Message&& msg) {
-        node->deliver(std::move(msg), sim_ptr->now());
-      });
+      nodes.emplace_back();
+      restart(i, /*epoch=*/0);
     }
+  }
+
+  /// (Re)starts node `i` as a fresh process: empty store, given epoch.
+  void restart(NodeIndex i, std::uint64_t epoch) {
+    NetNodeConfig restarted = node_config;
+    restarted.epoch = epoch;
+    auto node = std::make_unique<NetNode>(ring, i, *faults[i], restarted);
+    NetNode* raw = node.get();
+    sim::Simulator* sim_ptr = &simulator;
+    sims[i]->set_deliver([raw, sim_ptr](routing::Message&& msg) {
+      raw->deliver(std::move(msg), sim_ptr->now());
+    });
+    nodes[i] = std::move(node);
   }
 
   /// Advances wall + sim time together in 10 ms steps, driving every
@@ -115,6 +125,7 @@ struct ChaosRig {
   }
 
   WorkloadConfig config;
+  NetNodeConfig node_config;
   sim::Simulator simulator;
   common::IdSpace space;
   NetRing ring;
@@ -222,6 +233,124 @@ TEST(NetChaos, DelayOnlyChaosCausesFalseSuspicionsButNoDeaths) {
   EXPECT_EQ(deaths, 0u) << "delay alone must never excise a peer";
   EXPECT_EQ(false_suspicions, suspects)
       << "every delay-induced suspicion must have healed";
+}
+
+
+TEST(NetChaos, ReplicaPutCountsEachNewEntryOnce) {
+  WorkloadConfig config;
+  config.nodes = 4;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  rig.pump(100);
+  const sim::SimTime now = rig.simulator.now();
+  const auto query = [&](core::QueryId id) {
+    return std::make_shared<const core::SimilarityQuery>(core::SimilarityQuery{
+        id, 1, dsp::FeatureVector({dsp::Complex{0.5, 0.0}}), 0.1, kLifespan,
+        now});
+  };
+  core::ReplicaPutPayload put;
+  put.from = 1;
+  put.mbrs.push_back({101, 1, dsp::Mbr({0.1, 0.2}, {0.3, 0.4}), 0,
+                      now + kLifespan});
+  put.mbrs.push_back({102, 1, dsp::Mbr({0.5, 0.2}, {0.6, 0.4}), 4,
+                      now + kLifespan});
+  put.subscriptions.push_back({query(7), 11, now + kLifespan});
+  put.subscriptions.push_back({query(8), 12, now + kLifespan});
+  put.subscriptions.push_back(
+      {query(9), 13, now - sim::Duration::millis(1)});  // already expired
+
+  routing::Message msg;
+  msg.kind = routing::MsgKind::kReplicaPut;
+  msg.origin = 1;
+  msg.payload = std::make_shared<const core::ReplicaPutPayload>(put);
+  NetNode& node = *rig.nodes[0];
+  node.deliver(routing::Message(msg), now);
+  node.deliver(routing::Message(msg), now);  // redelivery: nothing new
+
+  EXPECT_EQ(node.counters().replica_entries_stored, 4u);
+  EXPECT_EQ(node.store().mbr_count(), 2u);
+  EXPECT_EQ(node.store().subscription_count(), 2u);
+  EXPECT_EQ(node.store().find_subscription(9), nullptr);
+}
+
+TEST(NetChaos, RejoinedNodeRepairsItsOwnedArc) {
+  WorkloadConfig config;
+  config.nodes = 5;
+  // Soft-state refresh off: only the handoff and anti-entropy can refill
+  // the restarted store.
+  NetReliabilityConfig reliability;
+  reliability.refresh_period_ms = 1'000'000'000;
+  ChaosRig rig(config, fault::FaultPlan{}, reliability);
+  rig.run_workload();
+
+  // What the peers of node `k` hold on k's owned arc, by identity.
+  const auto strategy = core::IndexingStrategy::make(
+      rig.node_config.strategy, rig.node_config.features, rig.space);
+  const core::ContentKeyMap& keys = strategy->key_map();
+  using MbrIds = std::set<std::pair<StreamId, std::uint64_t>>;
+  const auto held_on_arc = [&](NodeIndex k, MbrIds& mbrs,
+                               std::set<core::QueryId>& queries) {
+    const Key lo = rig.ring.id(rig.ring.predecessor_index(k));
+    const Key hi = rig.ring.id(k);
+    const sim::SimTime now = rig.simulator.now();
+    for (NodeIndex peer = 0; peer < config.nodes; ++peer) {
+      if (peer == k) {
+        continue;
+      }
+      const core::IndexStore& store = rig.nodes[peer]->store();
+      for (const core::IndexStore::StoredMbr& entry : store.mbrs()) {
+        const auto [rlo, rhi] = keys.mbr_range(entry.mbr);
+        if (rig.space.range_intersects_arc(rlo, rhi, lo, hi)) {
+          mbrs.emplace(entry.stream, entry.batch_seq);
+        }
+      }
+      for (const auto& [id, sub] : store.subscriptions()) {
+        const auto [rlo, rhi] =
+            keys.query_range(sub.query->features, sub.query->radius);
+        if (sub.expires > now &&
+            rig.space.range_intersects_arc(rlo, rhi, lo, hi)) {
+          queries.insert(id);
+        }
+      }
+    }
+  };
+
+  // Restart the node whose arc the peers hold the most batches on, as a
+  // fresh process: empty store, next epoch.
+  NodeIndex fresh = 0;
+  std::size_t most = 0;
+  for (NodeIndex k = 0; k < config.nodes; ++k) {
+    MbrIds mbrs;
+    std::set<core::QueryId> queries;
+    held_on_arc(k, mbrs, queries);
+    if (mbrs.size() > most) {
+      most = mbrs.size();
+      fresh = k;
+    }
+  }
+  rig.restart(fresh, /*epoch=*/1);
+  ASSERT_EQ(rig.nodes[fresh]->store().mbr_count(), 0u);
+  rig.nodes[fresh]->request_handoff(rig.simulator.now());
+  rig.pump(3000);  // five anti-entropy periods
+
+  MbrIds want_mbrs;
+  std::set<core::QueryId> want_queries;
+  held_on_arc(fresh, want_mbrs, want_queries);
+  ASSERT_FALSE(want_mbrs.empty()) << "the arc should hold published batches";
+  ASSERT_FALSE(want_queries.empty()) << "the arc should hold subscriptions";
+
+  const core::IndexStore& repaired = rig.nodes[fresh]->store();
+  for (const auto& [stream, seq] : want_mbrs) {
+    EXPECT_TRUE(repaired.contains_mbr(stream, seq))
+        << "stream " << stream << " batch " << seq;
+  }
+  for (const core::QueryId id : want_queries) {
+    EXPECT_NE(repaired.find_subscription(id), nullptr) << "query " << id;
+  }
+  const NetNode::Counters& counters = rig.nodes[fresh]->counters();
+  EXPECT_EQ(counters.handoff_requests_sent, 2u);
+  EXPECT_EQ(counters.replica_entries_stored,
+            repaired.mbr_count() + repaired.subscription_count())
+      << "every entry the fresh node holds arrived as a replica put";
 }
 
 }  // namespace
