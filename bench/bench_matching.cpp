@@ -11,6 +11,12 @@
 // only the new pairs are scored. ops_per_sec counts the pairs a full rescan
 // would cover in every row, so the rows compare directly.
 //
+// store_ingest times the write path instead: IndexStore::add_mbr spread
+// round-robin over 1000 stores, so every call lands on a store the previous
+// call did not touch (a range copy arriving at the next node of the arc),
+// with expiry and compaction running as lifespans lapse. ops_per_sec is
+// add_mbr calls per second; the printed figure is ns per call.
+//
 // Usage: bench_matching [--smoke] [--json <path>] [--threads LIST]
 //   --smoke    one quick configuration (CI smoke label)
 //   --json     also emit BENCH_matching.json-style results (schema v1 with
@@ -96,6 +102,73 @@ struct EngineTiming {
   double pairs_per_sec = 0.0;
   std::size_t matches = 0;
 };
+
+struct IngestConfig {
+  std::size_t stores = 1000;
+  std::size_t adds = 0;
+  std::size_t lifespan_rounds = 50;  // an entry lapses after this many rounds
+  std::size_t expire_every = 5;      // rounds between expiry sweeps
+};
+
+std::string describe(const IngestConfig& config) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "stores=%zu adds=%zu lifespan=%zu",
+                config.stores, config.adds, config.lifespan_rounds);
+  return buf;
+}
+
+/// Feeds `config.adds` 4-dimensional MBRs round-robin to `config.stores`
+/// fresh stores. One round gives every store one MBR and advances the clock
+/// by 1 ms; every `expire_every` rounds each store expires, which drops the
+/// lapsed entries and compacts once tombstones dominate.
+sdsi::bench::BenchResult time_store_ingest(const IngestConfig& config) {
+  using Clock = std::chrono::steady_clock;
+  common::Pcg32 rng(7, 31);
+  std::vector<dsp::Mbr> boxes;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    std::vector<double> low(4);
+    std::vector<double> high(4);
+    for (std::size_t d = 0; d < low.size(); ++d) {
+      low[d] = rng.uniform(-1.0, 0.92);
+      high[d] = low[d] + rng.uniform(0.01, 0.06);
+    }
+    boxes.emplace_back(std::move(low), std::move(high));
+  }
+  std::vector<core::IndexStore> stores(config.stores);
+  const auto round_time = [](std::size_t round) {
+    return sim::SimTime::zero() +
+           sim::Duration::millis(static_cast<std::int64_t>(round));
+  };
+  const std::size_t rounds = config.adds / config.stores;
+  std::size_t accepted = 0;
+  const auto start = Clock::now();
+  for (std::size_t round = 0; round < rounds; ++round) {
+    const sim::SimTime now = round_time(round);
+    const sim::SimTime expires = round_time(round + config.lifespan_rounds);
+    const bool sweep = round % config.expire_every == 0;
+    for (std::size_t s = 0; s < stores.size(); ++s) {
+      if (sweep) {
+        stores[s].expire(now);
+      }
+      const std::size_t i = round * stores.size() + s;
+      if (stores[s].add_mbr(i % 997, /*source=*/0, boxes[i % boxes.size()],
+                            /*batch_seq=*/i, now, expires)) {
+        ++accepted;
+      }
+    }
+  }
+  const auto stop = Clock::now();
+  if (accepted != rounds * stores.size()) {
+    std::fprintf(stderr, "FATAL: store_ingest rejected %zu fresh adds\n",
+                 rounds * stores.size() - accepted);
+    std::exit(1);
+  }
+  const double seconds = std::chrono::duration<double>(stop - start).count();
+  const double adds = static_cast<double>(rounds * stores.size());
+  return sdsi::bench::BenchResult{"store_ingest", describe(config),
+                                  seconds > 0.0 ? adds / seconds : 0.0,
+                                  seconds * 1e3};
+}
 
 /// pool == nullptr -> serial pruned pass; otherwise the sharded pass.
 EngineTiming time_engine(const MatchConfig& config, bool pruned,
@@ -265,6 +338,13 @@ int main(int argc, char** argv) {
                                           steady.pairs_per_sec,
                                           steady.wall_ms, 1});
   }
+
+  const IngestConfig ingest{1000, smoke ? 100000u : 2000000u};
+  const sdsi::bench::BenchResult store_ingest = time_store_ingest(ingest);
+  std::printf("%-38s %14.3g %12.3f %10s  store_ingest (%.1f ns/add)\n",
+              store_ingest.config.c_str(), store_ingest.ops_per_sec,
+              store_ingest.wall_ms, "-", 1e9 / store_ingest.ops_per_sec);
+  reporter.add(store_ingest);
 
   // Thread-scaling axis: the sharded pass on the heaviest configuration.
   // The 1-lane row doubles as the inline-degradation guard — WorkerPool(1)

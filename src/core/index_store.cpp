@@ -1,32 +1,125 @@
 #include "core/index_store.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <utility>
 
 #include "core/worker_pool.hpp"
 
 namespace sdsi::core {
 
+namespace {
+
+std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t key_hash(StreamId stream, std::uint64_t batch_seq) noexcept {
+  return splitmix64(splitmix64(stream) ^ batch_seq);
+}
+
+// A dedup-index word: the hash's low 32 bits (the tag) in the high half,
+// slab position + 1 in the low half; 0 is an empty cell.
+constexpr std::uint64_t kPosMask = 0xFFFFFFFFull;
+constexpr std::size_t kMinIndexCells = 16;
+
+std::uint64_t index_word(std::uint64_t hash, std::size_t pos) noexcept {
+  return (hash << 32) | (pos + 1);
+}
+std::size_t slot_of(std::uint64_t word) noexcept {
+  return static_cast<std::size_t>(word & kPosMask) - 1;
+}
+
+constexpr auto kByLow = [](const auto& a, const auto& b) {
+  return a.low < b.low;
+};
+
+}  // namespace
+
+std::size_t IndexStore::find_cell(StreamId stream, std::uint64_t batch_seq,
+                                  std::uint64_t hash) const noexcept {
+  // The cell comes from the tag's low bits, so growth can rehash from the
+  // stored tags without the keys.
+  const std::uint64_t tag = hash & kPosMask;
+  const std::size_t mask = by_key_.size() - 1;
+  for (std::size_t cell = tag & mask;; cell = (cell + 1) & mask) {
+    const std::uint64_t word = by_key_[cell];
+    if (word == 0) {
+      return cell;
+    }
+    if ((word >> 32) == tag) {
+      const Slot& slot = slots_[slot_of(word)];
+      if (slot.stream == stream && slot.batch_seq == batch_seq) {
+        return cell;
+      }
+    }
+  }
+}
+
+void IndexStore::place(std::uint64_t word) noexcept {
+  const std::size_t mask = by_key_.size() - 1;
+  std::size_t cell = (word >> 32) & mask;
+  while (by_key_[cell] != 0) {
+    cell = (cell + 1) & mask;
+  }
+  by_key_[cell] = word;
+}
+
+void IndexStore::grow_index() {
+  const std::size_t cells = std::max(kMinIndexCells, by_key_.size() * 2);
+  SDSI_CHECK(cells <= (std::size_t{1} << 32));  // cells come from 32-bit tags
+  std::vector<std::uint64_t> old(cells, 0);
+  old.swap(by_key_);
+  for (const std::uint64_t word : old) {
+    if (word != 0) {
+      place(word);
+    }
+  }
+}
+
+void IndexStore::rebuild_index() {
+  std::fill(by_key_.begin(), by_key_.end(), 0);
+  for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+    const std::uint64_t hash =
+        key_hash(slots_[pos].stream, slots_[pos].batch_seq);
+    place(index_word(hash, pos));
+  }
+  keys_indexed_ = slots_.size();
+}
+
 bool IndexStore::add_mbr(StreamId stream, NodeIndex source,
                          const dsp::Mbr& mbr, std::uint64_t batch_seq,
                          sim::SimTime stored_at, sim::SimTime expires) {
   SDSI_CHECK(!mbr.empty());
+  if (dims_ == 0) {
+    dims_ = mbr.dimensions();
+  }
+  SDSI_CHECK(mbr.dimensions() == dims_);
   if (expires <= horizon_) {
     return false;  // arrived past its own lifespan: never observable
   }
-  SDSI_CHECK(mbrs_.size() < std::numeric_limits<std::uint32_t>::max());
-  const auto pos = static_cast<std::uint32_t>(mbrs_.size());
-  const auto [it, inserted] =
-      by_key_.try_emplace(MbrKey{stream, batch_seq}, pos);
-  if (!inserted) {
-    if (!dead(mbrs_[it->second])) {
-      return false;  // duplicate delivery of a live batch: idempotent
-    }
-    it->second = pos;  // prior copy lapsed; this one supersedes it
+  SDSI_CHECK(slots_.size() < kPosMask);
+  if ((keys_indexed_ + 1) * 4 > by_key_.size() * 3) {
+    grow_index();
   }
-  mbr_expiry_.push(MbrExpiry{expires, pos});
-  mbrs_.push_back(StoredMbr{stream, source, mbr, batch_seq, stored_at, expires});
+  const std::uint64_t hash = key_hash(stream, batch_seq);
+  const std::size_t cell = find_cell(stream, batch_seq, hash);
+  if (by_key_[cell] == 0) {
+    ++keys_indexed_;
+  } else if (!dead(slots_[slot_of(by_key_[cell])])) {
+    return false;  // duplicate delivery of a live batch: idempotent
+  }
+  // A fresh key, or a prior copy that lapsed and this one supersedes.
+  const std::size_t pos = slots_.size();
+  by_key_[cell] = index_word(hash, pos);
+  mbr_expiry_.push_back(expires);
+  std::push_heap(mbr_expiry_.begin(), mbr_expiry_.end(), std::greater<>{});
+  slots_.push_back(Slot{stream, batch_seq, stored_at, expires, source});
+  coords_.insert(coords_.end(), mbr.low().begin(), mbr.low().end());
+  coords_.insert(coords_.end(), mbr.high().begin(), mbr.high().end());
   ++alive_mbrs_;
   return true;
 }
@@ -51,13 +144,14 @@ void IndexStore::expire(sim::SimTime now) {
   if (now > horizon_) {
     horizon_ = now;
   }
-  while (!mbr_expiry_.empty() && mbr_expiry_.top().expires <= now) {
-    mbr_expiry_.pop();
+  while (!mbr_expiry_.empty() && mbr_expiry_.front() <= now) {
+    std::pop_heap(mbr_expiry_.begin(), mbr_expiry_.end(), std::greater<>{});
+    mbr_expiry_.pop_back();
     --alive_mbrs_;
   }
   // Compact once tombstones dominate the slab: amortized O(1) per entry.
-  const std::size_t tombstones = mbrs_.size() - alive_mbrs_;
-  if (tombstones > 64 && tombstones * 2 > mbrs_.size()) {
+  const std::size_t tombstones = slots_.size() - alive_mbrs_;
+  if (tombstones > 64 && tombstones * 2 > slots_.size()) {
     compact();
   }
   while (!sub_expiry_.empty() && sub_expiry_.top().expires <= now) {
@@ -71,67 +165,73 @@ void IndexStore::expire(sim::SimTime now) {
 }
 
 void IndexStore::merge_pending() {
-  const auto old_size = static_cast<std::ptrdiff_t>(sorted_.size());
-  sorted_.reserve(mbrs_.size());
-  for (std::size_t pos = indexed_limit_; pos < mbrs_.size(); ++pos) {
-    const StoredMbr& entry = mbrs_[pos];
-    if (dead(entry)) {
+  std::vector<IntervalRef>& fresh = scratch_;
+  fresh.clear();
+  for (std::size_t pos = indexed_limit_; pos < slots_.size(); ++pos) {
+    if (dead(slots_[pos])) {
       continue;
     }
-    const double low = entry.mbr.routing_low();
-    const double high = entry.mbr.routing_high();
-    sorted_.push_back(IntervalRef{low, high, static_cast<std::uint32_t>(pos),
-                                  entry.stream, entry.expires});
-    max_extent_ = std::max(max_extent_, high - low);
+    const IntervalRef ref = interval(pos);
+    fresh.push_back(ref);
+    max_extent_ = std::max(max_extent_, ref.high - ref.low);
   }
-  indexed_limit_ = mbrs_.size();
-  const auto by_low = [](const IntervalRef& a, const IntervalRef& b) {
-    return a.low < b.low;
-  };
-  std::sort(sorted_.begin() + old_size, sorted_.end(), by_low);
-  std::inplace_merge(sorted_.begin(), sorted_.begin() + old_size,
-                     sorted_.end(), by_low);
+  indexed_limit_ = slots_.size();
+  std::sort(fresh.begin(), fresh.end(), kByLow);
+  // Merge from the back into the grown index, keeping older entries first
+  // among equal lows (the order a stable merge gives) without a temporary
+  // buffer the size of the index.
+  std::size_t older = sorted_.size();
+  std::size_t newer = fresh.size();
+  std::size_t out = older + newer;
+  sorted_.resize(out);
+  while (newer > 0) {
+    if (older > 0 && fresh[newer - 1].low < sorted_[older - 1].low) {
+      sorted_[--out] = sorted_[--older];
+    } else {
+      sorted_[--out] = fresh[--newer];
+    }
+  }
 }
 
 void IndexStore::compact() {
-  const auto lapsed = [this](const StoredMbr& entry) { return dead(entry); };
-  // The erase keeps survivors in slab order, so the entries the previous
-  // pass saw stay a prefix: only its length changes.
-  settled_limit_ -= static_cast<std::size_t>(std::count_if(
-      mbrs_.begin(),
-      mbrs_.begin() + static_cast<std::ptrdiff_t>(settled_limit_), lapsed));
-  std::erase_if(mbrs_, lapsed);
-  alive_mbrs_ = mbrs_.size();
-
-  by_key_.clear();
-  by_key_.reserve(mbrs_.size());
-  for (std::size_t pos = 0; pos < mbrs_.size(); ++pos) {
-    by_key_.try_emplace(MbrKey{mbrs_[pos].stream, mbrs_[pos].batch_seq},
-                        static_cast<std::uint32_t>(pos));
+  // Survivors keep slab order, so the entries the previous pass saw stay a
+  // prefix: only its length changes.
+  const std::size_t width = 2 * dims_;
+  std::size_t kept = 0;
+  std::size_t settled = 0;
+  for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+    if (dead(slots_[pos])) {
+      continue;
+    }
+    if (pos < settled_limit_) {
+      ++settled;
+    }
+    if (kept != pos) {
+      slots_[kept] = slots_[pos];
+      std::copy_n(coords_.begin() + static_cast<std::ptrdiff_t>(pos * width),
+                  width,
+                  coords_.begin() + static_cast<std::ptrdiff_t>(kept * width));
+    }
+    ++kept;
   }
+  slots_.resize(kept);
+  coords_.resize(kept * width);
+  settled_limit_ = settled;
+  alive_mbrs_ = kept;
+  rebuild_index();
 
-  std::vector<MbrExpiry> lanes;
-  lanes.reserve(mbrs_.size());
-  std::vector<IntervalRef> refs;
-  refs.reserve(mbrs_.size());
+  mbr_expiry_.clear();
+  sorted_.clear();
   max_extent_ = 0.0;
-  for (std::size_t pos = 0; pos < mbrs_.size(); ++pos) {
-    const StoredMbr& entry = mbrs_[pos];
-    lanes.push_back(MbrExpiry{entry.expires, static_cast<std::uint32_t>(pos)});
-    const double low = entry.mbr.routing_low();
-    const double high = entry.mbr.routing_high();
-    refs.push_back(IntervalRef{low, high, static_cast<std::uint32_t>(pos),
-                               entry.stream, entry.expires});
-    max_extent_ = std::max(max_extent_, high - low);
+  for (std::size_t pos = 0; pos < kept; ++pos) {
+    mbr_expiry_.push_back(slots_[pos].expires);
+    const IntervalRef ref = interval(pos);
+    sorted_.push_back(ref);
+    max_extent_ = std::max(max_extent_, ref.high - ref.low);
   }
-  mbr_expiry_ = MinHeap<MbrExpiry>(std::greater<MbrExpiry>{},
-                                   std::move(lanes));
-  std::sort(refs.begin(), refs.end(),
-            [](const IntervalRef& a, const IntervalRef& b) {
-              return a.low < b.low;
-            });
-  sorted_ = std::move(refs);
-  indexed_limit_ = mbrs_.size();
+  std::make_heap(mbr_expiry_.begin(), mbr_expiry_.end(), std::greater<>{});
+  std::sort(sorted_.begin(), sorted_.end(), kByLow);
+  indexed_limit_ = kept;
 }
 
 void IndexStore::match_subscription(QueryId id, Subscription& sub,
@@ -175,13 +275,13 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
     if (sub.reported.contains(ref.stream)) {
       continue;
     }
-    // Only a surviving candidate touches the cold slab, for the full
+    // Only a surviving candidate reads its box, for the full
     // multi-dimensional lower bound.
-    const StoredMbr& entry = mbrs_[ref.pos];
-    const double bound = entry.mbr.min_distance(query.features);
+    const double bound =
+        dsp::min_distance(low(ref.pos), high(ref.pos), query.features);
     if (bound <= query.radius) {
-      sub.reported.insert(entry.stream);
-      out.push_back(SimilarityMatch{id, entry.stream, bound, now});
+      sub.reported.insert(ref.stream);
+      out.push_back(SimilarityMatch{id, ref.stream, bound, now});
     }
   }
   sub.settled = true;
@@ -190,7 +290,7 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
 std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
                                                WorkerPool* pool) {
   expire(now);
-  if (indexed_limit_ < mbrs_.size()) {
+  if (indexed_limit_ < slots_.size()) {
     merge_pending();
   }
   std::vector<SimilarityMatch> fresh;
@@ -208,15 +308,16 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   std::sort(subs.begin(), subs.end());  // ids are unique
   // The index entries stored since the previous pass, in index order: all
   // a settled subscription has left to score.
-  std::vector<IntervalRef> stored_since;
-  if (any_settled && settled_limit_ < mbrs_.size()) {
+  std::vector<IntervalRef>& stored_since = scratch_;
+  stored_since.clear();
+  if (any_settled && settled_limit_ < slots_.size()) {
     for (const IntervalRef& ref : sorted_) {
       if (ref.pos >= settled_limit_) {
         stored_since.push_back(ref);
       }
     }
   }
-  settled_limit_ = mbrs_.size();
+  settled_limit_ = slots_.size();
   // Below this many subscriptions a fan-out costs more than it saves; the
   // serial path is also the reference the sharded one must reproduce.
   constexpr std::size_t kParallelThreshold = 4;
@@ -270,26 +371,41 @@ std::vector<SimilarityMatch> IndexStore::match_brute_force(sim::SimTime now) {
       continue;
     }
     const SimilarityQuery& query = *sub.query;
-    for (const StoredMbr& entry : mbrs_) {
-      if (entry.expires <= now || sub.reported.contains(entry.stream)) {
+    for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+      const Slot& slot = slots_[pos];
+      if (slot.expires <= now || sub.reported.contains(slot.stream)) {
         continue;
       }
-      const double bound = entry.mbr.min_distance(query.features);
+      const double bound =
+          dsp::min_distance(low(pos), high(pos), query.features);
       if (bound <= query.radius) {
-        sub.reported.insert(entry.stream);
-        fresh.push_back(SimilarityMatch{id, entry.stream, bound, now});
+        sub.reported.insert(slot.stream);
+        fresh.push_back(SimilarityMatch{id, slot.stream, bound, now});
       }
     }
   }
   return fresh;
 }
 
+IndexStore::StoredMbr IndexStore::stored(std::size_t pos) const {
+  const Slot& slot = slots_[pos];
+  const auto lo = low(pos);
+  const auto hi = high(pos);
+  return StoredMbr{slot.stream,
+                   slot.source,
+                   dsp::Mbr(std::vector<double>(lo.begin(), lo.end()),
+                            std::vector<double>(hi.begin(), hi.end())),
+                   slot.batch_seq,
+                   slot.stored_at,
+                   slot.expires};
+}
+
 std::vector<IndexStore::StoredMbr> IndexStore::mbrs() const {
   std::vector<StoredMbr> out;
   out.reserve(alive_mbrs_);
-  for (const StoredMbr& entry : mbrs_) {
-    if (!dead(entry)) {
-      out.push_back(entry);
+  for (std::size_t pos = 0; pos < slots_.size(); ++pos) {
+    if (!dead(slots_[pos])) {
+      out.push_back(stored(pos));
     }
   }
   return out;
@@ -301,19 +417,31 @@ const IndexStore::Subscription* IndexStore::find_subscription(
   return it == subscriptions_.end() ? nullptr : &it->second;
 }
 
-bool IndexStore::contains_mbr(StreamId stream,
-                              std::uint64_t batch_seq) const {
-  return find_mbr(stream, batch_seq) != nullptr;
+std::optional<std::size_t> IndexStore::live_pos(
+    StreamId stream, std::uint64_t batch_seq) const {
+  if (by_key_.empty()) {
+    return std::nullopt;
+  }
+  const std::uint64_t word =
+      by_key_[find_cell(stream, batch_seq, key_hash(stream, batch_seq))];
+  if (word == 0 || dead(slots_[slot_of(word)])) {
+    return std::nullopt;
+  }
+  return slot_of(word);
 }
 
-const IndexStore::StoredMbr* IndexStore::find_mbr(
+bool IndexStore::contains_mbr(StreamId stream,
+                              std::uint64_t batch_seq) const {
+  return live_pos(stream, batch_seq).has_value();
+}
+
+std::optional<IndexStore::StoredMbr> IndexStore::find_mbr(
     StreamId stream, std::uint64_t batch_seq) const {
-  const auto it = by_key_.find(MbrKey{stream, batch_seq});
-  if (it == by_key_.end()) {
-    return nullptr;
+  const std::optional<std::size_t> pos = live_pos(stream, batch_seq);
+  if (!pos) {
+    return std::nullopt;
   }
-  const StoredMbr& entry = mbrs_[it->second];
-  return dead(entry) ? nullptr : &entry;
+  return stored(*pos);
 }
 
 }  // namespace sdsi::core

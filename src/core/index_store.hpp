@@ -35,9 +35,20 @@
 // containers every NPER tick. MBR slots are deleted lazily (an entry is dead
 // iff expires <= the latest expiry horizon) and the slab compacts once dead
 // slots dominate.
+//
+// Write path. Range multicast stores every MBR on each node whose arc meets
+// its key range, so a store copy is the most frequent write. Storing one
+// allocates nothing once the member buffers have grown: the slab is a flat
+// array of small fixed-size `Slot`s plus one coordinate array holding each
+// slot's 2 * dims box corners (the lows, then the highs), and duplicate
+// suppression runs over a store-local open-addressed index of 64-bit
+// (hash tag, slab position) words that touches the slab only on a tag hit.
+// Compaction compacts slots and coordinates in lockstep and reuses every
+// buffer.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -51,6 +62,8 @@ class WorkerPool;
 
 class IndexStore {
  public:
+  /// One stored MBR as a value (snapshots and lookups build it; the store
+  /// keeps its fields split across the slab and the coordinate array).
   struct StoredMbr {
     StreamId stream = 0;
     NodeIndex source = kInvalidNode;
@@ -76,8 +89,8 @@ class IndexStore {
   /// past the expiry horizon, or when a live entry with the same
   /// (stream, batch_seq) is present — duplicate deliveries from ack-driven
   /// retransmission or soft-state refresh are idempotent, so self-healing
-  /// can never inflate match counts. Both checks run before the entry is
-  /// built: `mbr` is copied once, and only when the entry is accepted.
+  /// can never inflate match counts. Every MBR in one store has the same
+  /// dimensions (fixed by the first add; a mismatch is a fatal check).
   bool add_mbr(StreamId stream, NodeIndex source, const dsp::Mbr& mbr,
                std::uint64_t batch_seq, sim::SimTime stored_at,
                sim::SimTime expires);
@@ -137,30 +150,31 @@ class IndexStore {
   /// claim expired state).
   bool contains_mbr(StreamId stream, std::uint64_t batch_seq) const;
 
-  /// The live entry with this identity, or nullptr. The pointer is
-  /// invalidated by any mutating call.
-  const StoredMbr* find_mbr(StreamId stream, std::uint64_t batch_seq) const;
+  /// A copy of the live entry with this identity, if one is stored.
+  std::optional<StoredMbr> find_mbr(StreamId stream,
+                                    std::uint64_t batch_seq) const;
 
  private:
+  /// The fixed-size part of one slab entry; its box lives in coords_.
+  struct Slot {
+    StreamId stream = 0;
+    std::uint64_t batch_seq = 0;
+    sim::SimTime stored_at;
+    sim::SimTime expires;
+    NodeIndex source = kInvalidNode;
+  };
+
   /// One entry of the interval index: the routing-dimension interval of
-  /// mbrs_[pos], plus the stream id and expiry mirrored out of the slab so
+  /// slot `pos`, plus the stream id and expiry mirrored out of the slab so
   /// the candidate scan (interval overlap, liveness, dedup) runs entirely
-  /// over this hot contiguous array; the cold 100+-byte slab entry is
-  /// touched only for the final multi-dimensional min_distance bound.
+  /// over this hot contiguous array; the coordinate array is touched only
+  /// for the final multi-dimensional min_distance bound.
   struct IntervalRef {
     double low = 0.0;
     double high = 0.0;
     std::uint32_t pos = 0;
     StreamId stream = 0;
     sim::SimTime expires;
-  };
-
-  struct MbrExpiry {
-    sim::SimTime expires;
-    std::uint32_t pos = 0;
-    friend bool operator>(const MbrExpiry& a, const MbrExpiry& b) noexcept {
-      return a.expires > b.expires;
-    }
   };
 
   struct SubExpiry {
@@ -174,23 +188,36 @@ class IndexStore {
   template <typename T>
   using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
 
-  /// Identity of an MBR batch for duplicate suppression.
-  struct MbrKey {
-    StreamId stream = 0;
-    std::uint64_t batch_seq = 0;
-    bool operator==(const MbrKey&) const = default;
-  };
-  struct MbrKeyHash {
-    std::size_t operator()(const MbrKey& k) const noexcept {
-      std::uint64_t h = k.stream * 0x9E3779B97F4A7C15ull;
-      h ^= k.batch_seq + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  bool dead(const StoredMbr& entry) const noexcept {
-    return entry.expires <= horizon_;
+  bool dead(const Slot& slot) const noexcept {
+    return slot.expires <= horizon_;
   }
+  std::span<const double> low(std::size_t pos) const noexcept {
+    return {coords_.data() + pos * 2 * dims_, dims_};
+  }
+  std::span<const double> high(std::size_t pos) const noexcept {
+    return {coords_.data() + (pos * 2 + 1) * dims_, dims_};
+  }
+  IntervalRef interval(std::size_t pos) const noexcept {
+    return IntervalRef{low(pos)[0], high(pos)[0],
+                       static_cast<std::uint32_t>(pos), slots_[pos].stream,
+                       slots_[pos].expires};
+  }
+  StoredMbr stored(std::size_t pos) const;
+
+  /// The cell holding (stream, batch_seq), or the empty cell ending its
+  /// probe chain. Reads the slab only for cells whose tag matches.
+  std::size_t find_cell(StreamId stream, std::uint64_t batch_seq,
+                        std::uint64_t hash) const noexcept;
+  /// Puts a word into the first empty cell of its chain (no key compare:
+  /// callers know the key is absent).
+  void place(std::uint64_t word) noexcept;
+  /// The slab position of the live entry with this identity.
+  std::optional<std::size_t> live_pos(StreamId stream,
+                                      std::uint64_t batch_seq) const;
+  /// Doubles the dedup index, rehashing from the stored tags alone.
+  void grow_index();
+  /// Empties the dedup index and re-enters every slab position.
+  void rebuild_index();
 
   /// One subscription's candidate scan (the shared body of the serial and
   /// sharded match paths). Scans the subscription's whole index window on
@@ -212,15 +239,21 @@ class IndexStore {
   void compact();
 
   // --- MBR side ---------------------------------------------------------
-  std::vector<StoredMbr> mbrs_;      // slab: live entries + lazy tombstones
+  std::vector<Slot> slots_;       // slab: live entries + lazy tombstones
+  std::vector<double> coords_;    // 2 * dims_ box corners per slot
+  std::size_t dims_ = 0;          // box dimensions, fixed by the first add
   std::vector<IntervalRef> sorted_;  // interval index, ascending by low
+  std::vector<IntervalRef> scratch_;  // entries being merged, or stored since
   std::size_t indexed_limit_ = 0;    // slab positions >= this are unindexed
   std::size_t settled_limit_ = 0;  // slab positions < this predate last pass
   double max_extent_ = 0.0;  // widest routing interval in the index
-  MinHeap<MbrExpiry> mbr_expiry_;
-  // (stream, batch_seq) -> slab position; an entry whose slot is dead (lazy
-  // tombstone) counts as absent. Rebuilt by compact().
-  DenseMap<MbrKey, std::uint32_t, MbrKeyHash> by_key_;
+  // Min-heap (std::greater) of slot expiries; a pop only counts a lapse.
+  std::vector<sim::SimTime> mbr_expiry_;
+  // (stream, batch_seq) -> slab position, open-addressed, power-of-two
+  // size, load <= 3/4. A cell whose slot is dead (lazy tombstone) counts as
+  // absent. Rebuilt by compact().
+  std::vector<std::uint64_t> by_key_;
+  std::size_t keys_indexed_ = 0;  // occupied cells of by_key_
   std::size_t alive_mbrs_ = 0;
   sim::SimTime horizon_;  // latest time passed to expire()
 

@@ -1,6 +1,7 @@
 #include "core/replica_sync.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -137,11 +138,11 @@ ReplicaPutPayload lookup(const AntiEntropyRequestPayload& request,
   put.from = self;
   put.repair = true;
   for (const MbrBatchId& id : request.mbr_keys) {
-    if (const IndexStore::StoredMbr* entry =
+    if (std::optional<IndexStore::StoredMbr> entry =
             store.find_mbr(id.stream, id.batch_seq)) {
       put.mbrs.push_back(ReplicaMbrEntry{entry->stream, entry->source,
-                                         entry->mbr, entry->batch_seq,
-                                         entry->expires});
+                                         std::move(entry->mbr),
+                                         entry->batch_seq, entry->expires});
     }
   }
   for (const QueryId id : request.query_ids) {

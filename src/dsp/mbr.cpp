@@ -72,11 +72,12 @@ bool Mbr::contains(const FeatureVector& point) const noexcept {
   return true;
 }
 
-double Mbr::min_distance(const FeatureVector& point) const noexcept {
+double min_distance(std::span<const double> low, std::span<const double> high,
+                    const FeatureVector& point) noexcept {
   // Allocation-free: this runs once per (subscription, stored MBR) pair on
   // every notification tick of every node.
-  SDSI_DCHECK(!empty());
-  SDSI_DCHECK(point.size() * 2 == low_.size());
+  SDSI_DCHECK(!low.empty());
+  SDSI_DCHECK(point.size() * 2 == low.size() && low.size() == high.size());
   double total = 0.0;
   for (std::size_t i = 0; i < point.size(); ++i) {
     const double coords[2] = {point[i].real(), point[i].imag()};
@@ -84,12 +85,16 @@ double Mbr::min_distance(const FeatureVector& point) const noexcept {
       const std::size_t d = 2 * i + part;
       // Branch-free: at most one side is positive, and adding the other
       // side's 0.0 leaves it exact.
-      const double gap = std::max(0.0, low_[d] - coords[part]) +
-                         std::max(0.0, coords[part] - high_[d]);
+      const double gap = std::max(0.0, low[d] - coords[part]) +
+                         std::max(0.0, coords[part] - high[d]);
       total += gap * gap;
     }
   }
   return std::sqrt(total);
+}
+
+double Mbr::min_distance(const FeatureVector& point) const noexcept {
+  return dsp::min_distance(low_, high_, point);
 }
 
 std::vector<double> Mbr::center() const {

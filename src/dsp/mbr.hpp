@@ -15,6 +15,14 @@
 
 namespace sdsi::dsp {
 
+/// Minimum feature-space distance from `point` to the box with corners
+/// `low` and `high` (0 inside), in the flat (re, im) coordinates an MBR
+/// lives in. Both spans hold 2 * point.size() values. Mbr::min_distance and
+/// stores that keep box corners outside an Mbr share this one definition,
+/// so their results are bit-identical.
+double min_distance(std::span<const double> low, std::span<const double> high,
+                    const FeatureVector& point) noexcept;
+
 class Mbr {
  public:
   Mbr() = default;

@@ -120,7 +120,7 @@ void RoutingSystem::deliver_at(NodeIndex at, Message msg) {
     deliver_(at, msg);
   }
   if (msg.has_range) {
-    forward_range_copies(at, msg);
+    forward_range_copies(at, std::move(msg));
   }
 }
 
@@ -139,36 +139,32 @@ void RoutingSystem::emit_trace(obs::TraceEventKind event, NodeIndex node,
   trace_->record(record);
 }
 
-void RoutingSystem::forward_range_copies(NodeIndex at, const Message& msg) {
+void RoutingSystem::forward_range_copies(NodeIndex at, Message msg) {
   const RangeSteps steps =
       range_steps(space_, msg, node_id(predecessor_index(at)), node_id(at));
 
   // Forwarded copies keep the original sent_at: a copy's delivery latency
   // then measures how long the range walk took to reach that node, which is
   // exactly the sequential-propagation delay Sec IV-C worries about.
-  if (steps.up) {
-    Message copy = msg;
+  const auto forward = [&](RangeDir dir, NodeIndex next, Message copy) {
     copy.range_internal = true;
-    copy.range_dir = RangeDir::kUp;
+    copy.range_dir = dir;
     copy.origin = at;
     copy.hops = 0;
-    copy.target_key = node_id(successor_index(at));
+    copy.target_key = node_id(next);
     notify_send(at, copy);
     if (!message_lost(copy)) {
-      route_direct(at, successor_index(at), std::move(copy));
+      route_direct(at, next, std::move(copy));
     }
+  };
+  // The message moves on to its last step; only a landing that fans out
+  // both ways (kBoth) copies it once.
+  if (steps.up) {
+    forward(RangeDir::kUp, successor_index(at),
+            steps.down ? Message(msg) : std::move(msg));
   }
   if (steps.down) {
-    Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = RangeDir::kDown;
-    copy.origin = at;
-    copy.hops = 0;
-    copy.target_key = node_id(predecessor_index(at));
-    notify_send(at, copy);
-    if (!message_lost(copy)) {
-      route_direct(at, predecessor_index(at), std::move(copy));
-    }
+    forward(RangeDir::kDown, predecessor_index(at), std::move(msg));
   }
 }
 

@@ -314,7 +314,7 @@ class RoutingSystem {
   }
 
  private:
-  void forward_range_copies(NodeIndex at, const Message& msg);
+  void forward_range_copies(NodeIndex at, Message msg);
   void emit_trace(obs::TraceEventKind event, NodeIndex node,
                   const Message& msg, const char* drop_cause);
 

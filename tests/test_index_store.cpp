@@ -1,6 +1,12 @@
 // Per-node index storage: lifespans, matching, and per-node deduplication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/index_store.hpp"
 
 namespace sdsi::core {
@@ -146,6 +152,134 @@ TEST(IndexStore, ManyMbrsManyQueries) {
   for (const auto& m : matches) {
     EXPECT_LE(m.bound_distance, 0.05);
   }
+}
+
+/// Reference model of the MBR side: a std::map keyed by (stream, batch_seq)
+/// holding the live entries, with the add order standing in for slab order.
+struct MbrModel {
+  struct Entry {
+    IndexStore::StoredMbr stored;
+    std::uint64_t order = 0;
+  };
+  std::map<std::pair<StreamId, std::uint64_t>, Entry> live;
+  sim::SimTime horizon;
+  std::uint64_t adds = 0;
+
+  bool add(const IndexStore::StoredMbr& e) {
+    if (e.expires <= horizon) {
+      return false;
+    }
+    const auto key = std::make_pair(e.stream, e.batch_seq);
+    if (live.contains(key)) {
+      return false;
+    }
+    live[key] = Entry{e, adds++};
+    return true;
+  }
+  void expire(sim::SimTime now) {
+    horizon = std::max(horizon, now);
+    std::erase_if(live, [&](const auto& kv) {
+      return kv.second.stored.expires <= horizon;
+    });
+  }
+  std::vector<IndexStore::StoredMbr> snapshot() const {
+    std::vector<const Entry*> order;
+    for (const auto& [key, entry] : live) {
+      order.push_back(&entry);
+    }
+    std::sort(order.begin(), order.end(),
+              [](const Entry* a, const Entry* b) { return a->order < b->order; });
+    std::vector<IndexStore::StoredMbr> out;
+    for (const Entry* entry : order) {
+      out.push_back(entry->stored);
+    }
+    return out;
+  }
+};
+
+void expect_same_entry(const IndexStore::StoredMbr& got,
+                       const IndexStore::StoredMbr& want) {
+  EXPECT_EQ(got.stream, want.stream);
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.batch_seq, want.batch_seq);
+  EXPECT_EQ(got.stored_at, want.stored_at);
+  EXPECT_EQ(got.expires, want.expires);
+  EXPECT_TRUE(got.mbr == want.mbr);  // bounds compared exactly
+}
+
+TEST(IndexStore, DedupIndexMatchesReferenceModel) {
+  // A small key space forces duplicate live adds and supersede-after-lapse;
+  // a growing stream range keeps the dedup index growing, and lifespans
+  // short against the run compact the slab many times over.
+  common::Pcg32 rng(2024, 5);
+  IndexStore store;
+  MbrModel model;
+  std::int64_t clock_ms = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    clock_ms += rng.uniform_int(0, 3);
+    const StreamId stream_range = 8 + static_cast<StreamId>(step / 40);
+    const auto stream =
+        static_cast<StreamId>(rng.uniform_int(0, static_cast<std::int64_t>(
+                                                     stream_range)));
+    const auto seq = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+    if (rng.uniform01() < 0.05) {
+      const sim::SimTime now = at_ms(clock_ms);
+      store.expire(now);
+      model.expire(now);
+    }
+    std::vector<double> low(4);
+    std::vector<double> high(4);
+    for (std::size_t d = 0; d < low.size(); ++d) {
+      low[d] = rng.uniform(-1.0, 1.0);
+      high[d] = low[d] + rng.uniform(0.0, 0.1);
+    }
+    // Some entries arrive already past the horizon.
+    const std::int64_t life_ms = rng.uniform_int(-20, 400);
+    const IndexStore::StoredMbr entry{
+        stream,
+        static_cast<NodeIndex>(rng.uniform_int(0, 9)),
+        dsp::Mbr(std::move(low), std::move(high)),
+        seq,
+        at_ms(clock_ms),
+        at_ms(clock_ms + life_ms)};
+    ASSERT_EQ(store.add_mbr(entry.stream, entry.source, entry.mbr,
+                            entry.batch_seq, entry.stored_at, entry.expires),
+              model.add(entry))
+        << "step " << step;
+
+    const auto probe_stream = static_cast<StreamId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(stream_range) + 2));
+    const auto probe_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 4));
+    const auto it = model.live.find({probe_stream, probe_seq});
+    const bool present = it != model.live.end();
+    ASSERT_EQ(store.contains_mbr(probe_stream, probe_seq), present)
+        << "step " << step;
+    const auto found = store.find_mbr(probe_stream, probe_seq);
+    ASSERT_EQ(found.has_value(), present) << "step " << step;
+    if (present) {
+      expect_same_entry(*found, it->second.stored);
+    }
+
+    if (step % 500 == 0) {
+      const auto got = store.mbrs();
+      const auto want = model.snapshot();
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      ASSERT_EQ(store.mbr_count(), want.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_same_entry(got[i], want[i]);
+      }
+    }
+  }
+}
+
+TEST(IndexStoreDeathTest, MbrOfAnotherDimensionIsRejected) {
+  IndexStore store;
+  ASSERT_TRUE(store.add_mbr(1, 0, dsp::Mbr({0.0, 0.0, 0.0, 0.0},
+                                           {0.1, 0.1, 0.1, 0.1}),
+                            0, at_ms(0), at_ms(1000)));
+  EXPECT_DEATH(store.add_mbr(2, 0, dsp::Mbr({0.0, 0.0}, {0.1, 0.1}), 0,
+                             at_ms(0), at_ms(1000)),
+               "dims_");
 }
 
 }  // namespace
