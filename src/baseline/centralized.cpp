@@ -91,14 +91,14 @@ void CentralizedSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
   switch (msg.kind) {
     case core::MsgKind::kMbrUpdate: {
       SDSI_CHECK(at == center_);
-      const auto payload = routing::payload_of<core::MbrPayload>(msg);
+      const auto& payload = routing::payload_of<core::MbrPayload>(msg);
       store_.add_mbr(payload->stream, payload->source, payload->mbr,
                      payload->batch_seq, now, payload->expires);
       return;
     }
     case core::MsgKind::kSimilarityQuery: {
       SDSI_CHECK(at == center_);
-      const auto payload =
+      const auto& payload =
           routing::payload_of<core::SimilarityQueryPayload>(msg);
       const core::SimilarityQuery& query = *payload->query;
       store_.add_subscription(payload->query, routing_.node_id(center_),
@@ -106,7 +106,7 @@ void CentralizedSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
       return;
     }
     case core::MsgKind::kResponse: {
-      const auto payload = routing::payload_of<core::ResponsePayload>(msg);
+      const auto& payload = routing::payload_of<core::ResponsePayload>(msg);
       const auto it = client_records_.find(payload->query);
       if (it == client_records_.end()) {
         return;

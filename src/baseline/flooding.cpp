@@ -94,7 +94,7 @@ void FloodingSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
   const sim::SimTime now = routing_.simulator().now();
   switch (msg.kind) {
     case core::MsgKind::kSimilarityQuery: {
-      const auto payload =
+      const auto& payload =
           routing::payload_of<core::SimilarityQueryPayload>(msg);
       const core::SimilarityQuery& query = *payload->query;
       nodes_[at].store.add_subscription(payload->query, payload->middle_key,
@@ -102,7 +102,7 @@ void FloodingSystem::on_deliver(NodeIndex at, const routing::Message& msg) {
       return;
     }
     case core::MsgKind::kResponse: {
-      const auto payload = routing::payload_of<core::ResponsePayload>(msg);
+      const auto& payload = routing::payload_of<core::ResponsePayload>(msg);
       const auto it = client_records_.find(payload->query);
       if (it == client_records_.end()) {
         return;

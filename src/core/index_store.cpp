@@ -37,6 +37,10 @@ constexpr auto kByLow = [](const auto& a, const auto& b) {
   return a.low < b.low;
 };
 
+constexpr auto kBeforeId = [](const auto& entry, QueryId id) {
+  return entry.first < id;
+};
+
 }  // namespace
 
 std::size_t IndexStore::find_cell(StreamId stream, std::uint64_t batch_seq,
@@ -129,15 +133,18 @@ void IndexStore::add_subscription(
     sim::SimTime expires) {
   SDSI_CHECK(query != nullptr);
   const QueryId id = query->id;
-  auto [it, inserted] = subscriptions_.try_emplace(id);
-  if (inserted) {
-    it->second.query = std::move(query);
-    it->second.middle_key = middle_key;
+  auto it = std::lower_bound(subscriptions_.begin(), subscriptions_.end(), id,
+                             kBeforeId);
+  if (it == subscriptions_.end() || it->first != id) {
+    Subscription fresh;
+    fresh.query = std::move(query);
+    fresh.middle_key = middle_key;
+    it = subscriptions_.emplace(it, id, std::move(fresh));
   }
   it->second.expires = expires;
-  // A refresh leaves the earlier heap entry behind; expire() recognizes it
-  // as stale because the live expires moved past it.
-  sub_expiry_.push(SubExpiry{expires, id});
+  // A refresh leaves the earlier heap entry behind; expire() erases by the
+  // live expires, so the stale entry only costs a pop.
+  sub_expiry_.push(expires);
 }
 
 void IndexStore::expire(sim::SimTime now) {
@@ -154,13 +161,17 @@ void IndexStore::expire(sim::SimTime now) {
   if (tombstones > 64 && tombstones * 2 > slots_.size()) {
     compact();
   }
-  while (!sub_expiry_.empty() && sub_expiry_.top().expires <= now) {
-    const SubExpiry lane = sub_expiry_.top();
+  // Every live subscription's current expires sits in the heap, so one that
+  // lapsed by `now` always pops a lane here.
+  bool lapsed = false;
+  while (!sub_expiry_.empty() && sub_expiry_.top() <= now) {
     sub_expiry_.pop();
-    const auto it = subscriptions_.find(lane.id);
-    if (it != subscriptions_.end() && it->second.expires <= now) {
-      subscriptions_.erase(it);
-    }
+    lapsed = true;
+  }
+  if (lapsed) {
+    std::erase_if(subscriptions_, [now](const auto& entry) {
+      return entry.second.expires <= now;
+    });
   }
 }
 
@@ -272,15 +283,12 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
     if (ref.expires <= horizon_) {
       continue;  // lazily-deleted slot awaiting compaction
     }
-    if (sub.reported.contains(ref.stream)) {
-      continue;
-    }
     // Only a surviving candidate reads its box, for the full
-    // multi-dimensional lower bound.
+    // multi-dimensional lower bound. Few candidates pass it, so the bound
+    // runs before the dedup probe: the same pairs, far fewer probes.
     const double bound =
         dsp::min_distance(low(ref.pos), high(ref.pos), query.features);
-    if (bound <= query.radius) {
-      sub.reported.insert(ref.stream);
+    if (bound <= query.radius && sub.reported.insert(ref.stream).second) {
       out.push_back(SimilarityMatch{id, ref.stream, bound, now});
     }
   }
@@ -294,18 +302,13 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
     merge_pending();
   }
   std::vector<SimilarityMatch> fresh;
-  // Visit subscriptions in canonical ascending-id order: the pass's output
-  // order (and thus the downstream report/ack message sequence) must be a
-  // function of the stored state, not of the container's insert/erase
-  // history.
-  std::vector<std::pair<QueryId, Subscription*>> subs;
-  subs.reserve(subscriptions_.size());
-  bool any_settled = false;
-  for (auto& [id, sub] : subscriptions_) {
-    subs.emplace_back(id, &sub);
-    any_settled = any_settled || sub.settled;
-  }
-  std::sort(subs.begin(), subs.end());  // ids are unique
+  // The table is in ascending-id order, the canonical visit order: the
+  // pass's output order (and thus the downstream report/ack message
+  // sequence) must be a function of the stored state, not of its
+  // insert/erase history.
+  const bool any_settled =
+      std::any_of(subscriptions_.begin(), subscriptions_.end(),
+                  [](const auto& entry) { return entry.second.settled; });
   // The index entries stored since the previous pass, in index order: all
   // a settled subscription has left to score.
   std::vector<IntervalRef>& stored_since = scratch_;
@@ -323,10 +326,9 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   constexpr std::size_t kParallelThreshold = 4;
   last_match_work_ = 0;
   if (pool == nullptr || pool->thread_count() <= 1 ||
-      subs.size() < kParallelThreshold) {
-    for (const auto& [id, sub] : subs) {
-      match_subscription(id, *sub, stored_since, now, fresh,
-                         last_match_work_);
+      subscriptions_.size() < kParallelThreshold) {
+    for (auto& [id, sub] : subscriptions_) {
+      match_subscription(id, sub, stored_since, now, fresh, last_match_work_);
     }
     return fresh;
   }
@@ -335,11 +337,12 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   // coordination is the pool's end-of-pass barrier. Concatenating the shard
   // outputs in the canonical order makes the result identical to the serial
   // loop.
-  std::vector<std::vector<SimilarityMatch>> shards(subs.size());
-  std::vector<std::uint64_t> scanned(subs.size(), 0);
-  pool->parallel_for(subs.size(), [&](std::size_t i) {
-    match_subscription(subs[i].first, *subs[i].second, stored_since, now,
-                       shards[i], scanned[i]);
+  const std::size_t count = subscriptions_.size();
+  std::vector<std::vector<SimilarityMatch>> shards(count);
+  std::vector<std::uint64_t> scanned(count, 0);
+  pool->parallel_for(count, [&](std::size_t i) {
+    auto& [id, sub] = subscriptions_[i];
+    match_subscription(id, sub, stored_since, now, shards[i], scanned[i]);
   });
   for (const std::uint64_t n : scanned) {
     last_match_work_ += n;
@@ -357,16 +360,7 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
 
 std::vector<SimilarityMatch> IndexStore::match_brute_force(sim::SimTime now) {
   std::vector<SimilarityMatch> fresh;
-  std::vector<std::pair<QueryId, Subscription>*> order;
-  order.reserve(subscriptions_.size());
-  for (auto& entry : subscriptions_) {
-    order.push_back(&entry);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (auto* item : order) {
-    const QueryId id = item->first;
-    Subscription& sub = item->second;
+  for (auto& [id, sub] : subscriptions_) {
     if (sub.expires <= now) {
       continue;
     }
@@ -413,8 +407,10 @@ std::vector<IndexStore::StoredMbr> IndexStore::mbrs() const {
 
 const IndexStore::Subscription* IndexStore::find_subscription(
     QueryId id) const {
-  const auto it = subscriptions_.find(id);
-  return it == subscriptions_.end() ? nullptr : &it->second;
+  const auto it = std::lower_bound(subscriptions_.begin(),
+                                   subscriptions_.end(), id, kBeforeId);
+  return it == subscriptions_.end() || it->first != id ? nullptr
+                                                       : &it->second;
 }
 
 std::optional<std::size_t> IndexStore::live_pos(

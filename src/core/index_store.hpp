@@ -30,11 +30,18 @@
 // figure (last_match_work) still counts the full window over the index,
 // tombstones included, so the overload layer sees the same load either way.
 //
+// Subscription table. Subscriptions sit in a vector kept in ascending query
+// id order, the canonical order a pass visits them in, so a pass needs no
+// sort and find_subscription is a binary search. Inside one subscription's
+// scan the MBR lower bound runs before the `reported` probe: few candidates
+// pass the bound, so most probes never happen.
+//
 // Expiry is incremental ("expiry lanes"): a min-expiry heap per container
 // pops lapsed entries in O(log n) each instead of erase_if-scanning both
 // containers every NPER tick. MBR slots are deleted lazily (an entry is dead
 // iff expires <= the latest expiry horizon) and the slab compacts once dead
-// slots dominate.
+// slots dominate. A subscription pop only says that one may have lapsed:
+// the table is then swept once, by each entry's live expires.
 //
 // Write path. Range multicast stores every MBR on each node whose arc meets
 // its key range, so a store copy is the most frequent write. Storing one
@@ -47,10 +54,12 @@
 // buffer.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/dense_map.hpp"
@@ -140,9 +149,12 @@ class IndexStore {
   /// Snapshot of the live MBR entries (insertion order preserved).
   std::vector<StoredMbr> mbrs() const;
 
-  const DenseMap<QueryId, Subscription>& subscriptions() const noexcept {
+  /// The live subscriptions, strictly ascending by query id.
+  using SubscriptionTable = std::vector<std::pair<QueryId, Subscription>>;
+  const SubscriptionTable& subscriptions() const noexcept {
     return subscriptions_;
   }
+  /// Binary search of the id-ordered table.
   const Subscription* find_subscription(QueryId id) const;
 
   /// Whether a live entry with this (stream, batch_seq) identity is stored.
@@ -176,17 +188,6 @@ class IndexStore {
     StreamId stream = 0;
     sim::SimTime expires;
   };
-
-  struct SubExpiry {
-    sim::SimTime expires;
-    QueryId id = 0;
-    friend bool operator>(const SubExpiry& a, const SubExpiry& b) noexcept {
-      return a.expires > b.expires;
-    }
-  };
-
-  template <typename T>
-  using MinHeap = std::priority_queue<T, std::vector<T>, std::greater<T>>;
 
   bool dead(const Slot& slot) const noexcept {
     return slot.expires <= horizon_;
@@ -258,8 +259,12 @@ class IndexStore {
   sim::SimTime horizon_;  // latest time passed to expire()
 
   // --- Subscription side ------------------------------------------------
-  DenseMap<QueryId, Subscription> subscriptions_;
-  MinHeap<SubExpiry> sub_expiry_;
+  SubscriptionTable subscriptions_;  // ascending by query id
+  // Min-heap of subscription expiries, one per add; a pop only says that
+  // some subscription may have lapsed (a refresh leaves its old one behind).
+  std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
+                      std::greater<>>
+      sub_expiry_;
 
   std::uint64_t last_match_work_ = 0;  // scan cost of the latest match()
 };

@@ -126,8 +126,12 @@ struct MiddlewareNode {
   /// Similarity queries aggregated here (this node covers their middle key).
   DenseMap<QueryId, AggregatorRecord> aggregations;
 
-  /// Match reports waiting for the next periodic neighbor digest.
-  std::vector<MatchReport> outgoing_reports;
+  /// Match reports waiting for the next periodic neighbor digest, split by
+  /// the shorter way round to their middle key: toward the successor (up)
+  /// or the predecessor (down). The direction is fixed when a report is
+  /// filed, so each digest takes its buffer whole.
+  std::vector<MatchReport> outgoing_up;
+  std::vector<MatchReport> outgoing_down;
 
   /// Location-service directory fragment: streams whose h2 key this node
   /// covers.

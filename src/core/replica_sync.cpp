@@ -1,6 +1,5 @@
 #include "core/replica_sync.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -11,7 +10,7 @@ namespace sdsi::core::replica_sync {
 namespace {
 
 /// Calls on_mbr for every live MBR (store order) and on_sub for every live
-/// subscription (store order) whose key range meets the arc (lo, hi].
+/// subscription (ascending id order) whose key range meets the arc (lo, hi].
 /// `skip_mbr` / `skip_sub` run before the key-range test.
 template <typename SkipMbr, typename OnMbr, typename SkipSub, typename OnSub>
 void visit_arc(const IndexStore& store, const ContentKeyMap& keys,
@@ -63,11 +62,6 @@ ReplicaPutPayload collect_where(const IndexStore& store,
         put.subscriptions.push_back(
             ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
       });
-  std::sort(put.subscriptions.begin(), put.subscriptions.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
   return put;
 }
 
@@ -94,7 +88,6 @@ AntiEntropyDigestPayload digest(const IndexStore& store,
       [&](QueryId id, const IndexStore::Subscription&) {
         out.query_ids.push_back(id);
       });
-  std::sort(out.query_ids.begin(), out.query_ids.end());
   return out;
 }
 

@@ -110,7 +110,8 @@ void MiddlewareSystem::reset_node_soft_state(NodeIndex index) {
   MiddlewareNode& state = state_of(index);
   state.store = IndexStore{};
   state.aggregations.clear();
-  state.outgoing_reports.clear();
+  state.outgoing_up.clear();
+  state.outgoing_down.clear();
   state.location_directory.clear();
   state.location_cache.clear();
   state.pending_inner_queries.clear();
@@ -733,7 +734,7 @@ void MiddlewareSystem::on_deliver(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_mbr(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<MbrPayload>(msg);
+  const auto& payload = routing::payload_of<MbrPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
   if (!(config_.store_local_summaries && at == payload->source)) {
     // Load shedding: a node past its per-window ingest budget (or under a
@@ -804,12 +805,12 @@ bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
 }
 
 void MiddlewareSystem::handle_mbr_ack(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<MbrAckPayload>(msg);
+  const auto& payload = routing::payload_of<MbrAckPayload>(msg);
   note_mbr_ack(at, payload->stream, payload->batch_seq);
 }
 
 void MiddlewareSystem::handle_response_ack(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<ResponseAckPayload>(msg);
+  const auto& payload = routing::payload_of<ResponseAckPayload>(msg);
   MiddlewareNode& state = state_of(at);
   const auto it = state.aggregations.find(payload->query);
   if (it == state.aggregations.end()) {
@@ -820,7 +821,7 @@ void MiddlewareSystem::handle_response_ack(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_similarity_query(NodeIndex at,
                                                const Message& msg) {
-  const auto payload = routing::payload_of<SimilarityQueryPayload>(msg);
+  const auto& payload = routing::payload_of<SimilarityQueryPayload>(msg);
   const SimilarityQuery& query = *payload->query;
   MiddlewareNode& state = state_of(at);
   const bool fresh = state.store.find_subscription(query.id) == nullptr;
@@ -854,7 +855,7 @@ void MiddlewareSystem::handle_similarity_query(NodeIndex at,
 }
 
 void MiddlewareSystem::handle_inner_query(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<InnerProductQueryPayload>(msg);
+  const auto& payload = routing::payload_of<InnerProductQueryPayload>(msg);
   const InnerProductQuery& query = *payload->query;
   MiddlewareNode& state = state_of(at);
   const auto it = state.streams.find(query.stream);
@@ -866,7 +867,7 @@ void MiddlewareSystem::handle_inner_query(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<ResponsePayload>(msg);
+  const auto& payload = routing::payload_of<ResponsePayload>(msg);
   if (payload->client != at) {
     // The client crashed and its arc changed hands: the response routed to
     // the new owner of the client's ring id. Nothing to do but drop it.
@@ -910,14 +911,16 @@ void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_neighbor_digest(NodeIndex at,
                                               const Message& msg) {
-  const auto payload = routing::payload_of<NeighborDigestPayload>(msg);
+  const auto& payload = routing::payload_of<NeighborDigestPayload>(msg);
+  const Key pred_id = routing_.node_id(routing_.predecessor_index(at));
+  const Key self_id = routing_.node_id(at);
   for (const MatchReport& report : payload->reports) {
-    file_match_report(at, report);
+    file_match_report(at, pred_id, self_id, report);
   }
 }
 
 void MiddlewareSystem::handle_location_put(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<LocationPutPayload>(msg);
+  const auto& payload = routing::payload_of<LocationPutPayload>(msg);
   if (payload->source == kInvalidNode) {
     state_of(at).location_directory.erase(payload->stream);  // tombstone
   } else {
@@ -926,7 +929,7 @@ void MiddlewareSystem::handle_location_put(NodeIndex at, const Message& msg) {
 }
 
 void MiddlewareSystem::handle_location_get(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<LocationGetPayload>(msg);
+  const auto& payload = routing::payload_of<LocationGetPayload>(msg);
   const auto& directory = state_of(at).location_directory;
   const auto entry = directory.find(payload->stream);
   const NodeIndex source =
@@ -971,7 +974,7 @@ void MiddlewareSystem::retry_location_get(NodeIndex client, StreamId stream) {
 
 void MiddlewareSystem::handle_location_reply(NodeIndex at,
                                              const Message& msg) {
-  const auto payload = routing::payload_of<LocationReplyPayload>(msg);
+  const auto& payload = routing::payload_of<LocationReplyPayload>(msg);
   MiddlewareNode& state = state_of(at);
   auto pending = state.pending_inner_queries.find(payload->stream);
   if (payload->source == kInvalidNode) {
@@ -1029,9 +1032,11 @@ bool MiddlewareSystem::covers_key(NodeIndex node, Key key) const {
                                           routing_.node_id(node));
 }
 
-void MiddlewareSystem::file_match_report(NodeIndex at, MatchReport report) {
+void MiddlewareSystem::file_match_report(NodeIndex at, Key pred_id,
+                                         Key self_id, MatchReport report) {
   MiddlewareNode& state = state_of(at);
-  if (covers_key(at, report.middle_key)) {
+  const common::IdSpace& space = routing_.id_space();
+  if (space.in_half_open(report.middle_key, pred_id, self_id)) {
     AggregatorRecord& record = state.aggregations[report.match.query];
     record.client = report.client;
     record.middle_key = report.middle_key;
@@ -1048,7 +1053,11 @@ void MiddlewareSystem::file_match_report(NodeIndex at, MatchReport report) {
     }
     return;
   }
-  state.outgoing_reports.push_back(std::move(report));
+  // The shorter way round to the middle node. Node ids never change, so the
+  // direction can be fixed here and the tick can send each buffer whole.
+  const bool up = space.distance(self_id, report.middle_key) <=
+                  space.distance(report.middle_key, self_id);
+  (up ? state.outgoing_up : state.outgoing_down).push_back(std::move(report));
 }
 
 void MiddlewareSystem::periodic_tick(NodeIndex index) {
@@ -1097,11 +1106,13 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
   // 1. File the candidates the match pass detected against the local index
   //    (Eq. 8 / MBR bound). match() advanced the store's expiry lanes
   //    itself, so no separate expire() sweep is needed here.
+  const Key pred_id = routing_.node_id(routing_.predecessor_index(index));
+  const Key self_id = routing_.node_id(index);
   for (SimilarityMatch& match : fresh) {
     const IndexStore::Subscription* sub =
         state.store.find_subscription(match.query);
     SDSI_CHECK(sub != nullptr);
-    file_match_report(index,
+    file_match_report(index, pred_id, self_id,
                       MatchReport{std::move(match), sub->query->client,
                                   sub->middle_key, sub->expires});
   }
@@ -1109,52 +1120,27 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
   // 2. Relay buffered reports one ring hop toward their middle nodes, as a
   //    single aggregated digest per direction (the paper's constant
   //    per-node neighbor-exchange component).
-  if (!state.outgoing_reports.empty()) {
-    const Key self_id = routing_.node_id(index);
-    const common::IdSpace& space = routing_.id_space();
-    // Stale reports (the query is gone) stop circulating; each live one goes
-    // the shorter way round to its middle node. Counted first so each digest
-    // is sized once.
-    const auto live = [now](const MatchReport& report) {
-      return report.query_expires > now;
-    };
-    const auto goes_up = [&](const MatchReport& report) {
-      return space.distance(self_id, report.middle_key) <=
-             space.distance(report.middle_key, self_id);
-    };
-    std::size_t up_count = 0;
-    std::size_t down_count = 0;
-    for (const MatchReport& report : state.outgoing_reports) {
-      if (live(report)) {
-        ++(goes_up(report) ? up_count : down_count);
-      }
+  //    Filing already chose each report's direction; stale reports (the
+  //    query is gone) stop circulating, and each buffer moves whole into
+  //    its digest. A neighbor that died since the last stabilization round
+  //    must not swallow the digest: detour around it via the successor list
+  //    instead of dropping the reports on the floor.
+  const auto relay = [&](std::vector<MatchReport>& buffer, bool up) {
+    std::erase_if(buffer, [now](const MatchReport& report) {
+      return report.query_expires <= now;
+    });
+    if (buffer.empty()) {
+      return;
     }
-    std::vector<MatchReport> up;
-    std::vector<MatchReport> down;
-    up.reserve(up_count);
-    down.reserve(down_count);
-    for (MatchReport& report : state.outgoing_reports) {
-      if (live(report)) {
-        (goes_up(report) ? up : down).push_back(std::move(report));
-      }
-    }
-    state.outgoing_reports.clear();
-    // A neighbor that died since the last stabilization round must not
-    // swallow the digest: detour around it via the successor list instead
-    // of dropping the reports on the floor.
-    if (!up.empty()) {
-      send_detouring(index, routing_.successor_index(index),
-                     MsgKind::kNeighborExchange,
-                     std::make_shared<const NeighborDigestPayload>(
-                         NeighborDigestPayload{std::move(up)}));
-    }
-    if (!down.empty()) {
-      send_detouring(index, routing_.predecessor_index(index),
-                     MsgKind::kNeighborExchange,
-                     std::make_shared<const NeighborDigestPayload>(
-                         NeighborDigestPayload{std::move(down)}));
-    }
-  }
+    send_detouring(index,
+                   up ? routing_.successor_index(index)
+                      : routing_.predecessor_index(index),
+                   MsgKind::kNeighborExchange,
+                   std::make_shared<const NeighborDigestPayload>(
+                       NeighborDigestPayload{std::exchange(buffer, {})}));
+  };
+  relay(state.outgoing_up, true);
+  relay(state.outgoing_down, false);
 
   // 3. Aggregators push periodic responses to their clients (Sec IV-F).
   //    With response acks enabled, match-bearing pushes stay in an in-flight
@@ -1333,7 +1319,7 @@ void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
 }
 
 void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
-  const auto payload = routing::payload_of<ReplicaPutPayload>(msg);
+  const auto& payload = routing::payload_of<ReplicaPutPayload>(msg);
   const replica_sync::Applied applied = replica_sync::apply(
       *payload, state_of(at).store, routing_.simulator().now());
   if (applied.added == 0) {
@@ -1358,7 +1344,7 @@ void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
 
 void MiddlewareSystem::handle_handoff_request(NodeIndex at,
                                               const Message& msg) {
-  const auto payload = routing::payload_of<HandoffRequestPayload>(msg);
+  const auto& payload = routing::payload_of<HandoffRequestPayload>(msg);
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
@@ -1438,7 +1424,7 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
 
 void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
                                                   const Message& msg) {
-  const auto payload = routing::payload_of<AntiEntropyDigestPayload>(msg);
+  const auto& payload = routing::payload_of<AntiEntropyDigestPayload>(msg);
   if (!routing_.is_alive(payload->from)) {
     return;
   }
@@ -1467,7 +1453,7 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
 
 void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
                                                    const Message& msg) {
-  const auto payload = routing::payload_of<AntiEntropyRequestPayload>(msg);
+  const auto& payload = routing::payload_of<AntiEntropyRequestPayload>(msg);
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
@@ -1481,7 +1467,7 @@ void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
 
 void MiddlewareSystem::handle_aggregator_replica(NodeIndex at,
                                                  const Message& msg) {
-  const auto payload = routing::payload_of<AggregatorReplicaPayload>(msg);
+  const auto& payload = routing::payload_of<AggregatorReplicaPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
   if (payload->expires <= now) {
     return;
@@ -1679,22 +1665,16 @@ void MiddlewareSystem::mirror_subscriptions_to_delegates(NodeIndex node) {
     return;
   }
   const sim::SimTime now = routing_.simulator().now();
-  // Canonical ascending-id order (like the handoff path): the delegate's
-  // store contents must not depend on this node's container history.
-  std::vector<std::pair<QueryId, const IndexStore::Subscription*>> order;
-  order.reserve(state.store.subscription_count());
-  for (const auto& entry : state.store.subscriptions()) {
-    if (entry.second.expires > now) {
-      order.emplace_back(entry.first, &entry.second);
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The store's table is in canonical ascending-id order (like the handoff
+  // path): the delegate's store contents must not depend on this node's
+  // container history.
   std::vector<ReplicaSubscriptionEntry> entries;
-  entries.reserve(order.size());
-  for (const auto& [id, sub] : order) {
-    entries.push_back(
-        ReplicaSubscriptionEntry{sub->query, sub->middle_key, sub->expires});
+  entries.reserve(state.store.subscription_count());
+  for (const auto& [id, sub] : state.store.subscriptions()) {
+    if (sub.expires > now) {
+      entries.push_back(
+          ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
+    }
   }
   if (entries.empty()) {
     return;

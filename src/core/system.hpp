@@ -389,9 +389,11 @@ class MiddlewareSystem {
   /// range-multicasts, and arms acks/refresh tracking.
   void publish_mbr(NodeIndex source, LocalStream& stream, dsp::Mbr mbr);
 
-  /// Files a detected match either into the local aggregator (if this node
-  /// covers the middle key) or into the outgoing digest buffer.
-  void file_match_report(NodeIndex at, MatchReport report);
+  /// Files a detected match either into the local aggregator (if the
+  /// middle key falls on `at`'s arc (pred_id, self_id]) or into the
+  /// outgoing digest buffer of its shorter direction (ties go up).
+  void file_match_report(NodeIndex at, Key pred_id, Key self_id,
+                         MatchReport report);
 
   /// Whether `node` covers `key` (key in (pred, node]).
   bool covers_key(NodeIndex node, Key key) const;

@@ -217,7 +217,7 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
 }
 
 void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
-  const auto payload = routing::payload_of<core::MbrPayload>(msg);
+  const auto& payload = routing::payload_of<core::MbrPayload>(msg);
   // The source already stored this batch at publish time; every other node
   // stores it here (the payload's absolute expiry keeps redelivery
   // idempotent, same as the sim's handle_mbr).
@@ -260,7 +260,7 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
 
 void NetNode::handle_similarity_query(const routing::Message& msg,
                                       sim::SimTime now) {
-  const auto payload = routing::payload_of<core::SimilarityQueryPayload>(msg);
+  const auto& payload = routing::payload_of<core::SimilarityQueryPayload>(msg);
   const core::SimilarityQuery& query = *payload->query;
   const bool fresh = store_.find_subscription(query.id) == nullptr;
   store_.add_subscription(payload->query, payload->middle_key,
@@ -303,7 +303,7 @@ void NetNode::send_to_replicas(core::ReplicaPutPayload put, NodeIndex holder,
 }
 
 void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
-  const auto payload = routing::payload_of<core::ResponsePayload>(msg);
+  const auto& payload = routing::payload_of<core::ResponsePayload>(msg);
   const auto it = results_.find(payload->query);
   if (it == results_.end()) {
     return;  // not our query (stale route)
@@ -323,7 +323,7 @@ void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
 }
 
 void NetNode::handle_heartbeat(const routing::Message& msg) {
-  const auto payload = routing::payload_of<core::HeartbeatPayload>(msg);
+  const auto& payload = routing::payload_of<core::HeartbeatPayload>(msg);
   ++counters_.heartbeats_received;
   if (!reliable()) {
     return;
@@ -336,7 +336,7 @@ void NetNode::handle_heartbeat(const routing::Message& msg) {
 }
 
 void NetNode::handle_mbr_ack(const routing::Message& msg) {
-  const auto payload = routing::payload_of<core::MbrAckPayload>(msg);
+  const auto& payload = routing::payload_of<core::MbrAckPayload>(msg);
   ++counters_.mbr_acks_received;
   const auto it =
       published_.find(std::make_pair(payload->stream, payload->batch_seq));
@@ -346,21 +346,21 @@ void NetNode::handle_mbr_ack(const routing::Message& msg) {
 }
 
 void NetNode::handle_response_ack(const routing::Message& msg) {
-  const auto payload = routing::payload_of<core::ResponseAckPayload>(msg);
+  const auto& payload = routing::payload_of<core::ResponseAckPayload>(msg);
   ++counters_.response_acks_received;
   unacked_responses_.erase(std::make_pair(payload->query, payload->push_seq));
 }
 
 void NetNode::handle_replica_put(const routing::Message& msg,
                                  sim::SimTime now) {
-  const auto payload = routing::payload_of<core::ReplicaPutPayload>(msg);
+  const auto& payload = routing::payload_of<core::ReplicaPutPayload>(msg);
   counters_.replica_entries_stored +=
       core::replica_sync::apply(*payload, store_, now).added;
 }
 
 void NetNode::handle_handoff_request(const routing::Message& msg,
                                      sim::SimTime now) {
-  const auto payload = routing::payload_of<core::HandoffRequestPayload>(msg);
+  const auto& payload = routing::payload_of<core::HandoffRequestPayload>(msg);
   core::ReplicaPutPayload put = core::replica_sync::collect(
       store_, strategy_->key_map(), ring_.space(), self_, payload->lo,
       payload->hi, now);
@@ -371,7 +371,8 @@ void NetNode::handle_handoff_request(const routing::Message& msg,
 
 void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
                                          sim::SimTime now) {
-  const auto payload = routing::payload_of<core::AntiEntropyDigestPayload>(msg);
+  const auto& payload =
+      routing::payload_of<core::AntiEntropyDigestPayload>(msg);
   core::replica_sync::DigestDiff diff = core::replica_sync::diff(
       *payload, store_, strategy_->key_map(), ring_.space(), self_, now);
   // Pull direction: request every digest entry this store is missing.
@@ -389,7 +390,7 @@ void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
 
 void NetNode::handle_anti_entropy_request(const routing::Message& msg,
                                           sim::SimTime now) {
-  const auto payload =
+  const auto& payload =
       routing::payload_of<core::AntiEntropyRequestPayload>(msg);
   send_replica_put(payload->requester,
                    core::replica_sync::lookup(*payload, store_, self_, now),

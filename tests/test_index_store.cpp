@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -66,8 +67,9 @@ TEST(IndexStore, MatchReportsEachStreamOnce) {
   store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
   add_box(store, 7, 0.29, 0.31, 10000);
   EXPECT_EQ(store.match(at_ms(100)).size(), 1u);
-  // A later MBR of the same stream must not re-report.
-  add_box(store, 7, 0.30, 0.32, 10000);
+  // A later MBR (the next batch) of the same stream must not re-report.
+  ASSERT_TRUE(store.add_mbr(7, /*source=*/0, dsp::Mbr({0.30, 0.0}, {0.32, 0.0}),
+                            /*batch_seq=*/1, at_ms(0), at_ms(10000)));
   EXPECT_TRUE(store.match(at_ms(200)).empty());
   // But a different stream in range does.
   add_box(store, 8, 0.30, 0.32, 10000);
@@ -270,6 +272,122 @@ TEST(IndexStore, DedupIndexMatchesReferenceModel) {
       }
     }
   }
+}
+
+using PairSet = std::vector<std::pair<QueryId, StreamId>>;
+
+PairSet pair_set(const std::vector<SimilarityMatch>& matches) {
+  PairSet out;
+  for (const SimilarityMatch& m : matches) {
+    out.emplace_back(m.query, m.stream);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(IndexStore, SubscriptionTableMatchesReferenceModel) {
+  // Adds, refreshes (to a later or an earlier expiry), lapses exactly at
+  // and past `expires`, and re-adds of lapsed ids, against a std::map model
+  // of the live subscriptions. Streamed boxes fill the reported sets, so a
+  // refresh has state to keep and a re-add has state to lose.
+  common::Pcg32 rng(2026, 17);
+  IndexStore store;
+  std::map<QueryId, sim::SimTime> model;  // id -> live expires
+  std::int64_t clock_ms = 0;
+  std::uint64_t next_seq = 0;
+  int refreshes = 0;
+  int lapses = 0;
+  int readds = 0;
+  std::set<QueryId> lapsed_ids;
+  for (int step = 0; step < 4'000; ++step) {
+    const sim::SimTime now = at_ms(clock_ms);
+    const double op = rng.uniform01();
+    if (op < 0.35) {
+      const auto id = static_cast<QueryId>(rng.uniform_int(1, 40));
+      const sim::SimTime expires = at_ms(clock_ms + rng.uniform_int(1, 3000));
+      const IndexStore::Subscription* before = store.find_subscription(id);
+      const bool refresh = before != nullptr;
+      std::vector<StreamId> reported;
+      bool settled = false;
+      if (refresh) {
+        reported.assign(before->reported.begin(), before->reported.end());
+        settled = before->settled;
+        ++refreshes;
+      } else if (lapsed_ids.contains(id)) {
+        ++readds;
+      }
+      store.add_subscription(query(id, rng.uniform(-0.5, 0.5), 0.1),
+                             /*middle_key=*/id, expires);
+      model[id] = expires;
+      const IndexStore::Subscription* after = store.find_subscription(id);
+      ASSERT_NE(after, nullptr) << "step " << step;
+      EXPECT_EQ(after->expires, expires) << "step " << step;
+      EXPECT_EQ(after->settled, settled) << "step " << step;
+      ASSERT_EQ(after->reported.size(), reported.size()) << "step " << step;
+      for (const StreamId stream : reported) {
+        EXPECT_TRUE(after->reported.contains(stream)) << "step " << step;
+      }
+    } else if (op < 0.65) {
+      // A small stream pool, so a subscription meets several live boxes of
+      // one stream and the per-node dedup decides.
+      const double lo = rng.uniform(-0.6, 0.6);
+      ASSERT_TRUE(store.add_mbr(
+          static_cast<StreamId>(rng.uniform_int(0, 24)), /*source=*/0,
+          dsp::Mbr({lo, 0.0}, {lo + rng.uniform(0.0, 0.05), 0.0}),
+          next_seq++, now, at_ms(clock_ms + rng.uniform_int(1, 4000))));
+    } else if (op < 0.85) {
+      // Advance the clock, sometimes exactly onto a live expiry.
+      if (!model.empty() && rng.uniform01() < 0.3) {
+        auto it = model.begin();
+        std::advance(it, rng.uniform_int(
+                             0, static_cast<std::int64_t>(model.size()) - 1));
+        clock_ms = std::max(clock_ms, it->second.count_micros() / 1000);
+      } else {
+        clock_ms += rng.uniform_int(0, 400);
+      }
+      const sim::SimTime later = at_ms(clock_ms);
+      const std::size_t live_before = model.size();
+      std::erase_if(model, [&](const auto& entry) {
+        if (entry.second <= later) {
+          lapsed_ids.insert(entry.first);
+          return true;
+        }
+        return false;
+      });
+      lapses += static_cast<int>(live_before - model.size());
+      store.expire(later);
+    } else {
+      std::erase_if(model,
+                    [&](const auto& entry) { return entry.second <= now; });
+      IndexStore oracle = store;
+      const PairSet fast = pair_set(store.match(now));
+      EXPECT_EQ(fast, pair_set(oracle.match_brute_force(now)))
+          << "step " << step;
+    }
+
+    const auto& table = store.subscriptions();
+    ASSERT_EQ(store.subscription_count(), model.size()) << "step " << step;
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    for (std::size_t i = 1; i < table.size(); ++i) {
+      ASSERT_LT(table[i - 1].first, table[i].first) << "step " << step;
+    }
+    auto want = model.begin();
+    for (const auto& [id, sub] : table) {
+      ASSERT_EQ(id, want->first) << "step " << step;
+      EXPECT_EQ(sub.expires, want->second) << "step " << step;
+      EXPECT_EQ(sub.query->id, id) << "step " << step;
+      ++want;
+    }
+    for (QueryId id = 0; id <= 41; ++id) {
+      const IndexStore::Subscription* sub = store.find_subscription(id);
+      ASSERT_EQ(sub != nullptr, model.contains(id))
+          << "step " << step << " id " << id;
+    }
+  }
+  // The run exercised every transition it claims to.
+  EXPECT_GT(refreshes, 100);
+  EXPECT_GT(lapses, 100);
+  EXPECT_GT(readds, 50);
 }
 
 TEST(IndexStoreDeathTest, MbrOfAnotherDimensionIsRejected) {

@@ -3,6 +3,10 @@
 // scenarios where data centers crash and join mid-stream.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "chord/network.hpp"
 #include "core/system.hpp"
 #include "routing/static_ring.hpp"
@@ -27,7 +31,7 @@ struct Harness {
   chord::ChordNetwork net;
   MiddlewareSystem system;
 
-  explicit Harness(std::size_t nodes)
+  explicit Harness(std::size_t nodes, std::uint64_t id_salt = 99)
       : net(sim,
             [] {
               chord::ChordConfig config;
@@ -36,7 +40,8 @@ struct Harness {
               return config;
             }()),
         system((net.bootstrap(
-                    routing::hash_node_ids(nodes, common::IdSpace(32), 99)),
+                    routing::hash_node_ids(nodes, common::IdSpace(32),
+                                           id_salt)),
                 net),
                small_config()) {
     system.start();
@@ -173,6 +178,110 @@ TEST(ChordMiddleware, DeterministicAcrossRuns) {
     return h.sim.executed_events();
   };
   EXPECT_EQ(run(), run());
+}
+
+/// What the transmit filter saw on the wire.
+struct RelayLog {
+  std::uint64_t up_reports = 0;
+  std::uint64_t down_reports = 0;
+  std::uint64_t wrong_way = 0;
+  std::uint64_t stale = 0;
+  std::uint64_t off_ring = 0;  // digests to neither ring neighbor
+};
+
+// Neighbor-digest relay (Sec IV-F): every digest on the wire is decoded.
+// Each report must travel the shorter way round to its middle key, no
+// digest may carry a report of a lapsed query, and every pair a range node
+// reports must reach the aggregator.
+TEST(ChordMiddleware, DigestRelayGoesTheShorterWayAndReachesTheAggregator) {
+  // This placement puts reports on both sides of several middle nodes.
+  Harness h(16, /*id_salt=*/31);
+  routing::RoutingSystem& routing = h.system.routing();
+  const common::IdSpace& space = routing.id_space();
+
+  RelayLog log;
+  routing.set_transmit_filter([&](routing::Message& msg) {
+    if (msg.kind != routing::MsgKind::kNeighborExchange) {
+      return;
+    }
+    const auto& digest = routing::payload_of<NeighborDigestPayload>(msg);
+    const NodeIndex self = msg.origin;
+    const Key self_id = routing.node_id(self);
+    const bool up =
+        msg.target_key == routing.node_id(routing.successor_index(self));
+    if (!up &&
+        msg.target_key != routing.node_id(routing.predecessor_index(self))) {
+      ++log.off_ring;
+    }
+    const sim::SimTime now = h.sim.now();
+    for (const MatchReport& report : digest->reports) {
+      if (report.query_expires <= now) {
+        ++log.stale;
+      }
+      const bool shorter_up = space.distance(self_id, report.middle_key) <=
+                              space.distance(report.middle_key, self_id);
+      if (shorter_up != up) {
+        ++log.wrong_way;
+      }
+      ++(up ? log.up_reports : log.down_reports);
+    }
+  });
+
+  const double gammas[8] = {1.02, 1.05, 1.08, 1.11, 1.15, 1.20, 1.26, 1.33};
+  for (NodeIndex i = 0; i < 8; ++i) {
+    h.system.register_stream(i, 500 + i);
+    h.feed_exponential(i, 500 + i, gammas[i], 60);
+  }
+  // Long-lived queries, whose every report must reach its aggregator, and
+  // short-lived ones that lapse while their reports may still be buffered.
+  std::set<QueryId> lasting;
+  const double probes[5] = {1.03, 1.09, 1.14, 1.22, 1.30};
+  for (int i = 0; i < 5; ++i) {
+    lasting.insert(h.system.subscribe_similarity(
+        static_cast<NodeIndex>(8 + i), h.exponential_features(probes[i]),
+        /*radius=*/0.3, sim::Duration::seconds(60)));
+    (void)h.system.subscribe_similarity(
+        static_cast<NodeIndex>(15 - i), h.exponential_features(probes[i]),
+        /*radius=*/0.3, sim::Duration::millis(1200 + 300 * i));
+  }
+  h.run_for(6.0);
+
+  // Every (query, stream) pair a range node has reported so far, by the
+  // node covering the query's middle key.
+  std::map<NodeIndex, std::set<std::pair<QueryId, StreamId>>> reported;
+  std::size_t remote = 0;
+  for (NodeIndex n = 0; n < 16; ++n) {
+    for (const auto& [id, sub] : h.system.node(n).store.subscriptions()) {
+      if (!lasting.contains(id)) {
+        continue;
+      }
+      const NodeIndex aggregator =
+          routing.find_successor_oracle(sub.middle_key);
+      for (const StreamId stream : sub.reported) {
+        reported[aggregator].emplace(id, stream);
+        remote += aggregator != n ? 1 : 0;
+      }
+    }
+  }
+  // Enough ticks for the longest relay (half the ring, one hop a tick).
+  h.run_for(6.0);
+
+  ASSERT_GT(remote, 0u) << "no report had to travel";
+  EXPECT_GT(log.up_reports, 0u);
+  EXPECT_GT(log.down_reports, 0u);
+  EXPECT_EQ(log.wrong_way, 0u);
+  EXPECT_EQ(log.stale, 0u);
+  EXPECT_EQ(log.off_ring, 0u);
+  for (const auto& [aggregator, pairs] : reported) {
+    const auto& aggregations = h.system.node(aggregator).aggregations;
+    for (const auto& [query, stream] : pairs) {
+      const auto it = aggregations.find(query);
+      ASSERT_NE(it, aggregations.end())
+          << "query " << query << " at node " << aggregator;
+      EXPECT_TRUE(it->second.seen.contains(stream))
+          << "query " << query << " stream " << stream;
+    }
+  }
 }
 
 }  // namespace
